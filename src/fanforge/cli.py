@@ -142,9 +142,7 @@ def cmd_verify(args) -> int:
     cfg = ScanConfig(
         checks=checks,
         budget=args.budget,
-        mode=args.mode,
         fan_budget=args.fan_budget,
-        seed=args.seed,
     )
     reports = []
     for i, line in enumerate(lines):
@@ -292,9 +290,7 @@ def cmd_scan(args) -> int:
     cfg = ScanConfig(
         checks=checks,
         budget=args.budget,
-        mode=args.mode,
         fan_budget=args.fan_budget,
-        seed=args.seed,
     )
     reports, summary = scan_corpus(lines, cfg, workers=args.workers)
     if args.format == "tsv":
@@ -325,12 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--fan-budget", type=int, default=2000,
                         help="coloring enumeration cap / BFS budget for fans")
-        sp.add_argument("--mode", choices=["exhaustive", "reachability"],
-                        default="exhaustive")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=["json", "tsv"], default="json")
         if edge:
             sp.add_argument("--edge", required=True, help="edge as u-v vertex pair")
+            sp.add_argument("--mode", choices=["exhaustive", "reachability"],
+                            default="exhaustive")
 
     sp = sub.add_parser("classify", help="order, size, chi', class, overfullness")
     common(sp)

@@ -8,9 +8,10 @@ color c is absent at v.
 
 from __future__ import annotations
 
-import hashlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import SimpleGraph
 
@@ -212,15 +213,6 @@ class PartialEdgeColoring:
                 if e >= 0 and self.assignment[e] != c:
                     return f"by-color cache wrong at vertex {v}, color {c}"
         return None
-
-    def stable_hash(self) -> int:
-        """64-bit content hash, stable across processes (used for BFS dedup)."""
-        data = bytes(
-            0 if c is None else c for c in self.assignment
-        )
-        return int.from_bytes(
-            hashlib.blake2b(data, digest_size=8).digest(), "big"
-        )
 
     def signature(self) -> tuple:
         return (self.uncolored, tuple(self.assignment))
@@ -430,3 +422,88 @@ def double_swap_at(
             raise ColoringError(f"color {col} not present at {x}")
     step1 = kempe_swap_at(phi, x, a, b)
     return kempe_swap_at(step1, x, b, c)
+
+
+# -- breadth-first search over recolorings -----------------------------------
+
+
+def swap_moves(
+    phi: PartialEdgeColoring, pairs: Optional[Iterable[tuple[int, int]]] = None
+) -> Iterator[Chain]:
+    """Every Kempe chain of phi on the given color pairs, in `chains` order
+    per pair; all pairs a < b in ascending order when `pairs` is None."""
+    if pairs is None:
+        pairs = combinations(range(1, phi.k + 1), 2)
+    for a, b in pairs:
+        yield from phi.chains(a, b)
+
+
+@dataclass
+class KempeSearch:
+    """Outcome of `kempe_bfs`. `parents` maps the signature of every state
+    reached to (parent signature, move), with (None, None) for the start."""
+
+    parents: dict
+    expanded: int
+    exhausted: bool
+    hit: Optional[PartialEdgeColoring] = None
+
+    def path(self) -> list:
+        """The moves that lead from the start to `hit`, in order."""
+        out = []
+        parent, move = self.parents[self.hit.signature()]
+        while move is not None:
+            out.append(move)
+            parent, move = self.parents[parent]
+        out.reverse()
+        return out
+
+
+def kempe_bfs(
+    start: PartialEdgeColoring,
+    moves: Callable[[PartialEdgeColoring], Iterable],
+    budget: int,
+    accept: Optional[Callable[[PartialEdgeColoring], bool]] = None,
+    goal: Optional[Callable[[PartialEdgeColoring], bool]] = None,
+) -> KempeSearch:
+    """Breadth-first search from `start` over the moves `moves(state)` yields.
+
+    A move is either a `Chain` of the state, applied by `kempe_swap`, or a
+    pair (step, neighbour) for any other recoloring. States are keyed by
+    their exact `signature()`; a swap neighbour's key is read off the
+    state's assignment with the chain flipped, so a neighbour is built only
+    when it is new. Each new state is tested against `goal` (the search
+    stops at the first hit), then enters the frontier if `accept` allows
+    it. At most `budget` states are expanded; `exhausted` is False only
+    when the budget ran out first.
+    """
+    key = start.signature()
+    parents: dict = {key: (None, None)}
+    frontier = deque([(start, key)])
+    expanded = 0
+    while frontier:
+        if expanded >= budget:
+            return KempeSearch(parents, expanded, False)
+        state, key = frontier.popleft()
+        expanded += 1
+        for move in moves(state):
+            if isinstance(move, Chain):
+                a, b = move.colors
+                colors = list(state.assignment)
+                for e in move.edges:
+                    colors[e] = b if colors[e] == a else a
+                nkey = (state.uncolored, tuple(colors))
+                if nkey in parents:
+                    continue
+                nxt = kempe_swap(state, move)
+            else:
+                move, nxt = move
+                nkey = nxt.signature()
+                if nkey in parents:
+                    continue
+            parents[nkey] = (key, move)
+            if goal is not None and goal(nxt):
+                return KempeSearch(parents, expanded, True, nxt)
+            if accept is None or accept(nxt):
+                frontier.append((nxt, nkey))
+    return KempeSearch(parents, expanded, True)

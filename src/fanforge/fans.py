@@ -11,10 +11,17 @@ degree).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import verdicts as V
-from .colorings import PartialEdgeColoring, are_linked, kempe_swap
+from .colorings import (
+    PartialEdgeColoring,
+    are_linked,
+    kempe_bfs,
+    kempe_swap,
+    swap_moves,
+)
 from .graphs import SimpleGraph, degree_profile, light_vertices
 from .solver import enumerate_colorings, iter_colorings
 
@@ -410,8 +417,8 @@ def search_maximum_multifan(
 
     exhaustive: enumerate every coloring (EXACT unless the enumeration is
     capped by `budget` > 0 and overflows). reachability: BFS from phi0
-    over single Kempe swaps touching the current fan's colors,
-    deduplicated by content hash; always LOWER-BOUND.
+    over single Kempe swaps touching the current fan's colors, states
+    keyed exactly (`kempe_bfs`); always LOWER-BOUND.
     """
     e = g.edge_id(r, s1)
     if k is None:
@@ -441,12 +448,9 @@ def search_maximum_multifan(
         phi0 = en.colorings[0]
     best_fan = grow_multifan(g, phi0, r, s1)
     best_phi = phi0
-    seen = {phi0.stable_hash()}
-    frontier = [phi0]
-    explored = 0
-    while frontier and explored < budget:
-        phi = frontier.pop(0)
-        explored += 1
+
+    def fan_moves(phi):
+        nonlocal best_fan, best_phi
         fan = grow_multifan(g, phi, r, s1)
         if fan.size() > best_fan.size():
             best_fan, best_phi = fan, phi
@@ -454,19 +458,14 @@ def search_maximum_multifan(
         for v in fan.vertex_set():
             relevant.update(phi.missing_at(v))
         relevant.update(fan.edge_colors.values())
-        pairs = sorted(
+        pairs = [
             (a, b)
-            for a in range(1, k + 1)
-            for b in range(a + 1, k + 1)
+            for a, b in combinations(range(1, k + 1), 2)
             if a in relevant or b in relevant
-        )
-        for a, b in pairs:
-            for chain in phi.chains(a, b):
-                nxt = kempe_swap(phi, chain)
-                h = nxt.stable_hash()
-                if h not in seen:
-                    seen.add(h)
-                    frontier.append(nxt)
+        ]
+        return swap_moves(phi, pairs)
+
+    explored = kempe_bfs(phi0, fan_moves, budget).expanded
     return MaxFanResult(best_phi, best_fan, "LOWER-BOUND", explored)
 
 

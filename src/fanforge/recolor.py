@@ -14,6 +14,7 @@ color-avoidance accounting stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import verdicts as V
@@ -21,8 +22,9 @@ from .colorings import (
     Chain,
     PartialEdgeColoring,
     are_linked,
-    kempe_swap,
+    kempe_bfs,
     kempe_swap_at,
+    swap_moves,
 )
 from .fans import (
     FanError,
@@ -632,58 +634,43 @@ def _search_witness(
     shiftings; returns (hit, exhausted). Stability is always measured
     against the original coloring and fan."""
     want = _REQUIRED_STABILITY[item]
-    start_h = phi.stable_hash()
-    seen = {start_h}
-    parents: dict[int, tuple[Optional[int], Optional[Step], PartialEdgeColoring]] = {
-        start_h: (None, None, phi)
-    }
-    frontier = [phi]
-    expanded = 0
-    exhausted = True
-    while frontier:
-        if expanded >= budget:
-            exhausted = False
-            break
-        state = frontier.pop(0)
-        expanded += 1
-        steps: list[Step] = []
-        pairs = [
-            (a, b)
-            for a in range(1, phi.k + 1)
-            for b in range(a + 1, phi.k + 1)
-            if a not in avoid and b not in avoid
-        ]
-        for a, b in pairs:
-            for chain in state.chains(a, b):
-                steps.append(SwapStep((a, b), chain.vertices[0]))
+    pairs = [
+        (a, b)
+        for a, b in combinations(range(1, phi.k + 1), 2)
+        if a not in avoid and b not in avoid
+    ]
+
+    def moves(state: PartialEdgeColoring):
+        yield from swap_moves(state, pairs)
         try:
-            steps.extend(_eligible_shift_steps(g, state, fan))
+            steps = _eligible_shift_steps(g, state, fan)
         except FanError:
-            pass
+            return
         for step in steps:
             try:
-                nxt = apply_step(state, step)
+                nxt = shift(state, step.center, step.vertices)
             except (ShiftIneligible, TauError):
                 continue
-            h = nxt.stable_hash()
-            if h in seen:
-                continue
-            seen.add(h)
-            parents[h] = (state.stable_hash(), step, nxt)
-            if at_least_stable(
-                stability_class(nxt, phi, fan), want
-            ) and _witness_post_ok(item, nxt, fan, x, tau, delta):
-                chain_steps = []
-                cur_h: Optional[int] = h
-                while cur_h is not None:
-                    ph, st, _ = parents[cur_h]
-                    if st is not None:
-                        chain_steps.append(st)
-                    cur_h = ph
-                chain_steps.reverse()
-                return (nxt, Transcript(chain_steps)), True
-            frontier.append(nxt)
-    return None, exhausted
+            yield step, nxt
+
+    def found(nxt: PartialEdgeColoring) -> bool:
+        return at_least_stable(
+            stability_class(nxt, phi, fan), want
+        ) and _witness_post_ok(item, nxt, fan, x, tau, delta)
+
+    res = kempe_bfs(phi, moves, budget, goal=found)
+    if res.hit is None:
+        return None, res.exhausted
+    return (res.hit, Transcript(_transcript_steps(res.path()))), True
+
+
+def _transcript_steps(moves: list) -> list[Step]:
+    """`kempe_bfs` moves as transcript steps: a swapped chain is recorded
+    by its color pair and first vertex."""
+    return [
+        SwapStep(m.colors, m.vertices[0]) if isinstance(m, Chain) else m
+        for m in moves
+    ]
 
 
 def witness_tau_item(
@@ -885,41 +872,12 @@ def shifting_kempe_equivalent(
     (swap sequence or None, search exhausted). Whether shiftings are
     always swap-reachable is an open question; this only reports what a
     bounded search finds on one instance, it claims nothing in general."""
-    want = target.stable_hash()
-    start = phi.stable_hash()
-    if start == want:
+    want = target.signature()
+    if phi.signature() == want:
         return [], True
-    k = phi.k
-    parents: dict[int, tuple[Optional[int], Optional[SwapStep], PartialEdgeColoring]] = {
-        start: (None, None, phi)
-    }
-    frontier = [phi]
-    expanded = 0
-    exhausted = True
-    while frontier:
-        if expanded >= budget:
-            exhausted = False
-            break
-        state = frontier.pop(0)
-        expanded += 1
-        for a in range(1, k + 1):
-            for b in range(a + 1, k + 1):
-                for chain in state.chains(a, b):
-                    nxt = kempe_swap(state, chain)
-                    h = nxt.stable_hash()
-                    if h in parents:
-                        continue
-                    step = SwapStep((a, b), chain.vertices[0])
-                    parents[h] = (state.stable_hash(), step, nxt)
-                    if h == want:
-                        steps = []
-                        cur: Optional[int] = h
-                        while cur is not None:
-                            ph, st, _ = parents[cur]
-                            if st is not None:
-                                steps.append(st)
-                            cur = ph
-                        steps.reverse()
-                        return steps, True
-                    frontier.append(nxt)
-    return None, exhausted
+    res = kempe_bfs(
+        phi, swap_moves, budget, goal=lambda nxt: nxt.signature() == want
+    )
+    if res.hit is None:
+        return None, res.exhausted
+    return _transcript_steps(res.path()), True

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import verdicts as V
-from .colorings import PartialEdgeColoring, are_linked, kempe_swap
+from .colorings import PartialEdgeColoring, are_linked, kempe_bfs, swap_moves
 from .fans import (
     FanError,
     MaxFanResult,
     Multifan,
+    _hypothesis_gate,
     grow_kierstead_path,
     grow_multifan,
     normalize_typical,
@@ -128,24 +129,14 @@ def _fan_stable_reachable(
     """Colorings reachable from phi through single Kempe swaps that keep
     the fan frozen, up to `budget` expansions."""
     out = [phi]
-    seen = {phi.stable_hash()}
-    frontier = [phi]
-    expanded = 0
-    k = phi.k
-    while frontier and expanded < budget:
-        state = frontier.pop(0)
-        expanded += 1
-        for a in range(1, k + 1):
-            for b in range(a + 1, k + 1):
-                for chain in state.chains(a, b):
-                    nxt = kempe_swap(state, chain)
-                    h = nxt.stable_hash()
-                    if h in seen:
-                        continue
-                    seen.add(h)
-                    if stability_class(nxt, phi, fan) == "F-stable":
-                        out.append(nxt)
-                        frontier.append(nxt)
+
+    def frozen(nxt: PartialEdgeColoring) -> bool:
+        if stability_class(nxt, phi, fan) != "F-stable":
+            return False
+        out.append(nxt)
+        return True
+
+    expanded = kempe_bfs(phi, swap_moves, budget, accept=frozen).expanded
     return out, expanded
 
 
@@ -266,7 +257,7 @@ def verify_pfan_properties(
     delta = prof.delta
     if prof.degrees[r] != delta or r not in light_vertices(g):
         return V.inapplicable(name, "center is not a light max-degree vertex")
-    gate = _edge_gate(name, g, fan.uncolored_edge, critical, class_two)
+    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
     if gate is not None:
         return gate
     if not pfan.extension:
@@ -348,7 +339,7 @@ def verify_pfan_adjacency(
         return V.inapplicable(name, "needs maximum degree at least 3")
     if prof.degrees[r] != delta or r not in light_vertices(g):
         return V.inapplicable(name, "center is not a light max-degree vertex")
-    gate = _edge_gate(name, g, fan.uncolored_edge, critical, class_two)
+    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
     if gate is not None:
         return gate
     closed = set(g.adjacency[r]) | {r}
@@ -389,7 +380,7 @@ def verify_fan_missing_r(
         return V.inapplicable(name, "needs maximum degree at least 3")
     if prof.degrees[r] != delta - 1 or r not in light_vertices(g):
         return V.inapplicable(name, "center is not a light (Delta-1)-vertex")
-    gate = _edge_gate(name, g, fan.uncolored_edge, critical, class_two)
+    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
     if gate is not None:
         return gate
     closed = set(g.adjacency[r]) | {r}
@@ -418,24 +409,6 @@ def verify_fan_missing_r(
     if maximum_status != "EXACT":
         return V.conditional(name, "fan maximality is only a lower bound")
     return V.passed(name, missing_r=list(phi.missing_at(r)))
-
-
-def _edge_gate(name, g, e, critical, class_two) -> Optional[V.Verdict]:
-    if class_two is None or critical is None:
-        from .solver import is_critical_edge
-
-        cv = chromatic_index(g)
-        if cv.status != "ok":
-            return V.unknown(name, "chromatic index undecided within budget")
-        if class_two is None:
-            class_two = cv.cls == "two"
-        if critical is None:
-            critical = class_two and is_critical_edge(g, e)
-    if not class_two:
-        return V.inapplicable(name, "graph is class 1")
-    if not critical:
-        return V.inapplicable(name, "uncolored edge is not critical")
-    return None
 
 
 # -- adjacency lemma and theorem-level checks -----------------------------------
@@ -632,23 +605,19 @@ def _reverify_class_two(g: SimpleGraph, budget: Optional[int]) -> bool:
 class ScanConfig:
     checks: tuple[str, ...] = GRAPH_CHECKS
     budget: Optional[int] = None          # solver node budget
-    mode: str = "exhaustive"              # maximum-fan mode
     fan_budget: int = 2000                # reachability expansions / enum cap
     max_colorings: int = 10               # colorings sampled per critical edge
     enum_cap: int = 200                   # below this, use every coloring
     witness_budget: int = 800             # tau-witness fallback search
-    seed: int = 0
 
     def to_json(self) -> dict:
         return {
             "checks": list(self.checks),
             "budget": self.budget,
-            "mode": self.mode,
             "fan_budget": self.fan_budget,
             "max_colorings": self.max_colorings,
             "enum_cap": self.enum_cap,
             "witness_budget": self.witness_budget,
-            "seed": self.seed,
         }
 
 
@@ -1064,7 +1033,7 @@ def scan_corpus(
         s = line.strip()
         if not s or s == ">>graph6<<":
             continue
-        tasks.append((i, s, _cfg_json(cfg)))
+        tasks.append((i, s, cfg.to_json()))
     if workers > 1 and len(tasks) > 1:
         import multiprocessing as mp
 
@@ -1075,19 +1044,6 @@ def scan_corpus(
     packed.sort(key=lambda p: p[0])
     reports = [json.loads(s) for _, s in packed]
     return reports, summarize(reports, cfg)
-
-
-def _cfg_json(cfg: ScanConfig) -> dict:
-    return {
-        "checks": tuple(cfg.checks),
-        "budget": cfg.budget,
-        "mode": cfg.mode,
-        "fan_budget": cfg.fan_budget,
-        "max_colorings": cfg.max_colorings,
-        "enum_cap": cfg.enum_cap,
-        "witness_budget": cfg.witness_budget,
-        "seed": cfg.seed,
-    }
 
 
 def summarize(reports: list[dict], cfg: Optional[ScanConfig] = None) -> dict:

@@ -12,14 +12,16 @@ from fanforge.colorings import (
     chain_at,
     double_swap_at,
     is_elementary,
+    kempe_bfs,
     kempe_swap,
     kempe_swap_at,
     missing,
     present,
+    swap_moves,
     validate,
 )
 from fanforge.graphs import SimpleGraph, complete, cycle, from_graph6, path
-from fanforge.solver import chromatic_index
+from fanforge.solver import chromatic_index, iter_colorings
 
 
 def test_validate_proper_path():
@@ -163,11 +165,30 @@ def test_serialization_round_trip(c5_fixture):
     assert back.signature() == phi.signature()
 
 
-def test_stable_hash_is_content_hash(c5_fixture):
-    g, phi = c5_fixture
-    assert phi.stable_hash() == phi.copy().stable_hash()
-    other = PartialEdgeColoring.from_line(g, "2; 0=_,1=1,2=2,3=1,4=2")
-    assert other.stable_hash() != phi.stable_hash()
+def test_kempe_bfs_reaches_exactly_the_kempe_closure():
+    # K5 minus one edge, 5 colors: the closure is computed independently
+    # by a depth-first sweep over a signature set
+    g = complete(5)
+    e = g.edge_id(0, 1)
+    phi = next(iter_colorings(g, e, 5))
+    closure = {phi.signature()}
+    stack = [phi]
+    while stack:
+        state = stack.pop()
+        for a in range(1, 6):
+            for b in range(a + 1, 6):
+                for chain in state.chains(a, b):
+                    nxt = kempe_swap(state, chain)
+                    if nxt.signature() not in closure:
+                        closure.add(nxt.signature())
+                        stack.append(nxt)
+    assert len(closure) > 1
+    res = kempe_bfs(phi, swap_moves, budget=len(closure) + 1)
+    assert set(res.parents) == closure
+    assert res.expanded == len(closure)
+    assert res.exhausted and res.hit is None
+    cut = kempe_bfs(phi, swap_moves, budget=1)
+    assert cut.expanded == 1 and not cut.exhausted
 
 
 @settings(max_examples=150, deadline=None)

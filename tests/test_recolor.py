@@ -409,6 +409,25 @@ def test_shifting_kempe_equivalent_hook(type_b1):
         assert isinstance(exhausted, bool)
 
 
+def test_shifting_kempe_equivalent_identity(type_b1):
+    from fanforge.recolor import shifting_kempe_equivalent
+
+    _, phi, _ = type_b1
+    assert shifting_kempe_equivalent(phi, phi) == ([], True)
+
+
+def test_shifting_kempe_equivalent_unreachable(c5_fixture):
+    # swaps never move the uncolored edge, so a target with another
+    # uncolored edge lies outside the (finite) closure
+    from fanforge.recolor import shifting_kempe_equivalent
+
+    g, phi = c5_fixture
+    target = PartialEdgeColoring.from_assignment(
+        g, 2, [2, 1, None, 1, 2], uncolored=g.edge_id(1, 2)
+    )
+    assert shifting_kempe_equivalent(phi, target) == (None, True)
+
+
 def test_witness_rotation_endpoint_swap_route(type_ac):
     # items (i)/(ii) when the target rides the center's (1,tau)-chain:
     # swap at the rotation's end, shift, and (for i) relabel 1 <-> tau
