@@ -356,8 +356,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _range_error(args) -> Optional[str]:
+    """The first numeric flag outside its range, as a one-line message.
+
+    Checked here rather than by argparse, which exits with 2 (UNKNOWN).
+    """
+    if args.budget < 0:
+        return f"--budget must be >= 0, got {args.budget}"
+    if args.fan_budget < 1:
+        return f"--fan-budget must be >= 1, got {args.fan_budget}"
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        return f"--workers must be >= 1, got {workers}"
+    return None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    bad = _range_error(args)
+    if bad is not None:
+        print(bad, file=sys.stderr)
+        return OP_ERROR
     try:
         return args.fn(args)
     except BrokenPipeError:

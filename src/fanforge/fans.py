@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import verdicts as V
 from .colorings import (
@@ -23,7 +23,7 @@ from .colorings import (
     swap_moves,
 )
 from .graphs import SimpleGraph, degree_profile, light_vertices
-from .solver import enumerate_colorings, iter_colorings
+from .solver import iter_colorings
 
 
 class FanError(ValueError):
@@ -404,6 +404,39 @@ class MaxFanResult:
         return self.status == "EXACT"
 
 
+def maximum_multifan_over(
+    g: SimpleGraph,
+    r: int,
+    s1: int,
+    colorings: Iterable[PartialEdgeColoring],
+    budget: Optional[int] = None,
+) -> MaxFanResult:
+    """The first largest multifan at r from rs1 over `colorings`, in order.
+
+    At most `budget` colorings are examined (all when None); the result is
+    EXACT when every supplied coloring was examined, else LOWER-BOUND.
+    """
+    best_phi = best_fan = None
+    explored = 0
+    capped = False
+    for phi in colorings:
+        if budget is not None and explored >= budget:
+            capped = True
+            break
+        explored += 1
+        fan = grow_multifan(g, phi, r, s1)
+        if best_fan is None or fan.size() > best_fan.size():
+            best_phi, best_fan = phi, fan
+    if best_fan is None:
+        raise FanError(
+            f"budget {budget} examines no coloring" if capped
+            else "no colorings to search"
+        )
+    return MaxFanResult(
+        best_phi, best_fan, "LOWER-BOUND" if capped else "EXACT", explored
+    )
+
+
 def search_maximum_multifan(
     g: SimpleGraph,
     r: int,
@@ -413,39 +446,25 @@ def search_maximum_multifan(
     phi0: Optional[PartialEdgeColoring] = None,
     k: Optional[int] = None,
 ) -> MaxFanResult:
-    """Largest |V(F)| over colorings of G - rs1.
+    """Largest |V(F)| over colorings of G - rs1; `budget` bounds the work.
 
-    exhaustive: enumerate every coloring (EXACT unless the enumeration is
-    capped by `budget` > 0 and overflows). reachability: BFS from phi0
-    over single Kempe swaps touching the current fan's colors, states
-    keyed exactly (`kempe_bfs`); always LOWER-BOUND.
+    exhaustive: examine the colorings in enumeration order, at most
+    `budget` of them (EXACT when that covers them all). reachability: BFS
+    from phi0 over single Kempe swaps touching the current fan's colors,
+    at most `budget` expansions, states keyed exactly (`kempe_bfs`);
+    always LOWER-BOUND.
     """
     e = g.edge_id(r, s1)
     if k is None:
         k = degree_profile(g).delta
     if mode == "exhaustive":
-        best = None
-        count = 0
-        capped = False
-        for phi in iter_colorings(g, e, k):
-            count += 1
-            if budget and count > budget:
-                capped = True
-                break
-            fan = grow_multifan(g, phi, r, s1)
-            if best is None or fan.size() > best[1].size():
-                best = (phi, fan)
-        if best is None:
-            raise FanError("no colorings to search")
-        status = "LOWER-BOUND" if capped else "EXACT"
-        return MaxFanResult(best[0], best[1], status, count)
+        return maximum_multifan_over(g, r, s1, iter_colorings(g, e, k), budget)
     if mode != "reachability":
         raise ValueError(f"unknown mode {mode!r}")
     if phi0 is None:
-        en = enumerate_colorings(g, e, k, limit=1)
-        if not en.colorings:
+        phi0 = next(iter_colorings(g, e, k), None)
+        if phi0 is None:
             raise FanError("no colorings to search")
-        phi0 = en.colorings[0]
     best_fan = grow_multifan(g, phi0, r, s1)
     best_phi = phi0
 

@@ -25,9 +25,12 @@ class SimpleGraph:
     workers. `adjacency[v]` is the sorted neighbor list, `edges[i]` the
     (u, v) pair with u < v, and `edge_index` maps pairs back to ids.
     `adj_mask[v]` is the neighbor set of v as an int bitmask.
+    `degree_profile` and `light_vertices` memoize their answers in the
+    `_profile` and `_light` slots on first call; pickles leave them out.
     """
 
-    __slots__ = ("n", "adjacency", "edges", "edge_index", "adj_mask")
+    __slots__ = ("n", "adjacency", "edges", "edge_index", "adj_mask",
+                 "_profile", "_light")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -119,11 +122,20 @@ class SimpleGraph:
     def __hash__(self):
         return hash((self.n, self.edges))
 
+    def __getstate__(self):
+        return None, {
+            "n": self.n,
+            "adjacency": self.adjacency,
+            "edges": self.edges,
+            "edge_index": self.edge_index,
+            "adj_mask": self.adj_mask,
+        }
+
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, m={len(self.edges)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeProfile:
     """Degrees, maximum degree, the max-degree vertex set, and core degrees.
 
@@ -233,16 +245,24 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterable[SimpleGraph]:
 
 
 def degree_profile(g: SimpleGraph) -> DegreeProfile:
+    """The graph's degree facts, computed on the first call and kept on g."""
+    try:
+        return g._profile
+    except AttributeError:
+        pass
     degs = g.degrees()
     if g.n == 0:
-        return DegreeProfile((), 0, (), 0, 0)
-    delta = max(degs)
-    dv = tuple(v for v in range(g.n) if degs[v] == delta)
-    dv_mask = 0
-    for v in dv:
-        dv_mask |= 1 << v
-    core_degs = [(g.adj_mask[v] & dv_mask).bit_count() for v in dv]
-    return DegreeProfile(degs, delta, dv, min(core_degs), max(core_degs))
+        prof = DegreeProfile((), 0, (), 0, 0)
+    else:
+        delta = max(degs)
+        dv = tuple(v for v in range(g.n) if degs[v] == delta)
+        dv_mask = 0
+        for v in dv:
+            dv_mask |= 1 << v
+        core_degs = [(g.adj_mask[v] & dv_mask).bit_count() for v in dv]
+        prof = DegreeProfile(degs, delta, dv, min(core_degs), max(core_degs))
+    g._profile = prof
+    return prof
 
 
 def core_subgraph(g: SimpleGraph) -> tuple[SimpleGraph, tuple[int, ...]]:
@@ -277,14 +297,19 @@ def is_core_acyclic(g: SimpleGraph) -> bool:
 
 
 def light_vertices(g: SimpleGraph) -> tuple[int, ...]:
-    """Vertices adjacent to at most two maximum-degree vertices."""
-    prof = degree_profile(g)
+    """Vertices adjacent to at most two maximum-degree vertices (computed
+    on the first call and kept on g)."""
+    try:
+        return g._light
+    except AttributeError:
+        pass
     dv_mask = 0
-    for v in prof.delta_vertices:
+    for v in degree_profile(g).delta_vertices:
         dv_mask |= 1 << v
-    return tuple(
+    g._light = light = tuple(
         v for v in range(g.n) if (g.adj_mask[v] & dv_mask).bit_count() <= 2
     )
+    return light
 
 
 # -- generators -----------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .colorings import PartialEdgeColoring
@@ -140,8 +141,10 @@ def chromatic_index(
 
 
 def _chromatic_index_uncached(g: SimpleGraph, budget: int) -> ClassVerdict:
-    prof = degree_profile(g)
-    delta = prof.delta
+    # Delta is read off the degrees here and in is_overfull rather than
+    # from the memoized degree_profile: _CHI_CACHE keeps its graphs (most
+    # of them G - e copies) alive, and a profile on each would grow it.
+    delta = max(g.degrees())
     nodes_total = 0
 
     if not is_overfull(g):  # g has an edge, so n >= 2
@@ -247,7 +250,7 @@ def critical_edges(g: SimpleGraph, budget: Optional[int] = None) -> list[int]:
 def is_overfull(g: SimpleGraph) -> bool:
     if g.n < 2:
         raise ValueError("overfullness needs n >= 2")
-    delta = degree_profile(g).delta
+    delta = max(g.degrees())
     return len(g.edges) > delta * (g.n // 2)
 
 
@@ -322,37 +325,85 @@ def iter_colorings(
     """All proper k-edge-colorings of G - e, lexicographic in (edge id, color).
 
     Distinct colorings are distinct maps (no color-symmetry reduction).
+    Backtracks over an explicit stack of per-depth available-color masks,
+    so the number of edges is not limited by the recursion limit.
     """
     m = len(g.edges)
     live = [i for i in range(m) if i != e]
-    full = (1 << k) - 1
-    missing = [full] * g.n
-    chosen = {}
+    ends = [g.edges[i] for i in live]
+    depth = len(live)
+    missing = [(1 << k) - 1] * g.n
+    colors: list[Optional[int]] = [None] * m
+    if depth == 0:
+        yield PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
+        return
+    # avail[pos]: colors still to try at live[pos]; chosen[pos]: its
+    # current color bit (0 when none is placed). colors[] entries past
+    # pos are stale until rewritten on the way down.
+    avail = [0] * depth
+    chosen = [0] * depth
+    u, v = ends[0]
+    avail[0] = missing[u] & missing[v]
+    pos = 0
+    while pos >= 0:
+        u, v = ends[pos]
+        bit = chosen[pos]
+        if bit:
+            missing[u] ^= bit
+            missing[v] ^= bit
+        a = avail[pos]
+        if not a:
+            chosen[pos] = 0
+            pos -= 1
+            continue
+        bit = a & -a
+        avail[pos] = a ^ bit
+        chosen[pos] = bit
+        missing[u] ^= bit
+        missing[v] ^= bit
+        colors[live[pos]] = bit.bit_length()
+        if pos + 1 == depth:
+            yield PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
+        else:
+            pos += 1
+            u, v = ends[pos]
+            avail[pos] = missing[u] & missing[v]
 
-    def rec(pos: int) -> Iterator[PartialEdgeColoring]:
-        if pos == len(live):
-            colors: list[Optional[int]] = [None] * m
-            for ee, c in chosen.items():
-                colors[ee] = c
-            yield PartialEdgeColoring.from_assignment(
-                g, k, colors, uncolored=e
-            )
-            return
-        eid = live[pos]
-        u, v = g.edges[eid]
-        avail = missing[u] & missing[v]
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            missing[u] ^= low
-            missing[v] ^= low
-            chosen[eid] = low.bit_length()
-            yield from rec(pos + 1)
-            del chosen[eid]
-            missing[u] ^= low
-            missing[v] ^= low
 
-    return rec(0)
+class ColoringSpace:
+    """The colorings of `iter_colorings(g, e, k)`, enumerated once and
+    materialized lazily: the stored prefix grows only as far as the
+    largest `prefix` asked for, so every consumer of one space shares a
+    single enumeration.
+
+    The colorings are shared between callers and are read-only.
+    """
+
+    def __init__(self, g: SimpleGraph, e: Optional[int], k: int):
+        delta_rest = 0
+        if g.n:
+            degs = list(g.degrees())
+            if e is not None:
+                u, v = g.edges[e]
+                degs[u] -= 1
+                degs[v] -= 1
+            delta_rest = max(degs) if degs else 0
+        if k < delta_rest:
+            raise ValueError(f"k={k} below the working maximum degree {delta_rest}")
+        self._source = iter_colorings(g, e, k)
+        self._seen: list[PartialEdgeColoring] = []
+
+    def prefix(self, limit: Optional[int] = None) -> ColoringEnumeration:
+        """The first `limit` colorings (all of them when None), with
+        `truncated` set when the space holds more."""
+        seen = self._seen
+        if limit is None:
+            seen.extend(self._source)
+            return ColoringEnumeration(list(seen), False)
+        limit = max(limit, 0)
+        if len(seen) <= limit:
+            seen.extend(islice(self._source, limit + 1 - len(seen)))
+        return ColoringEnumeration(seen[:limit], len(seen) > limit)
 
 
 def enumerate_colorings(
@@ -362,24 +413,7 @@ def enumerate_colorings(
     limit: Optional[int] = None,
 ) -> ColoringEnumeration:
     """Materialize iter_colorings up to `limit`; truncation is flagged."""
-    delta_rest = 0
-    if g.n:
-        degs = list(g.degrees())
-        if e is not None:
-            u, v = g.edges[e]
-            degs[u] -= 1
-            degs[v] -= 1
-        delta_rest = max(degs) if degs else 0
-    if k < delta_rest:
-        raise ValueError(f"k={k} below the working maximum degree {delta_rest}")
-    out = []
-    truncated = False
-    for phi in iter_colorings(g, e, k):
-        if limit is not None and len(out) >= limit:
-            truncated = True
-            break
-        out.append(phi)
-    return ColoringEnumeration(out, truncated)
+    return ColoringSpace(g, e, k).prefix(limit)
 
 
 def count_colorings(g: SimpleGraph, e: Optional[int], k: int) -> int:

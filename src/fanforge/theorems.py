@@ -23,6 +23,7 @@ from .fans import (
     _hypothesis_gate,
     grow_kierstead_path,
     grow_multifan,
+    maximum_multifan_over,
     normalize_typical,
     search_maximum_multifan,
     stability_class,
@@ -55,13 +56,11 @@ from .recolor import (
 )
 from .solver import (
     BudgetExceeded,
+    ColoringSpace,
     chromatic_index,
-    count_colorings,
     critical_edges,
-    enumerate_colorings,
     is_just_overfull,
     is_overfull,
-    iter_colorings,
     parity_check,
 )
 
@@ -147,17 +146,30 @@ def grow_pfan(
     budget: int = 200,
     fan_budget: int = 50_000,
     phi0: Optional[PartialEdgeColoring] = None,
+    space: Optional[ColoringSpace] = None,
+    exact: Optional[MaxFanResult] = None,
 ) -> PFan:
     """Extend a maximum multifan at a light max-degree center by
     (Delta-1)-neighbors whose missing colors stay disjoint from the rest
-    under every explored fan-stable coloring."""
+    under every explored fan-stable coloring.
+
+    The base fan is exhaustive over the colorings of G - rs1 when there
+    are at most fan_budget + 1 of them, else a reachability search of
+    `budget` expansions. `space` is that coloring space when the caller
+    already holds it, and `exact` the exhaustive result for (r, s1) over
+    it, reused instead of searching again.
+    """
     prof = degree_profile(g)
     delta = prof.delta
     if prof.degrees[s1] != delta - 1:
         raise FanError("pseudo-fan spokes must have degree Delta-1")
-    en = enumerate_colorings(g, g.edge_id(r, s1), delta, limit=fan_budget + 1)
+    if space is None:
+        space = ColoringSpace(g, g.edge_id(r, s1), delta)
+    en = space.prefix(fan_budget + 1)
     if not en.truncated:
-        base = search_maximum_multifan(g, r, s1, mode="exhaustive", budget=0)
+        base = exact if exact is not None else maximum_multifan_over(
+            g, r, s1, en.colorings
+        )
     else:
         base = search_maximum_multifan(
             g, r, s1, mode="reachability", budget=budget,
@@ -653,25 +665,15 @@ def normalize_checks(spec: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(uniq)
 
 
-def _coloring_sample(g, e, k, cfg) -> tuple[list[PartialEdgeColoring], bool]:
-    """Every coloring when the space is small, else the first
-    max_colorings in enumeration order. Returns (sample, exhaustive)."""
-    en = enumerate_colorings(g, e, k, limit=cfg.enum_cap + 1)
+def _max_fan_for(g, r, s1, cfg, space: ColoringSpace) -> MaxFanResult:
+    """Exhaustive over `space` (the colorings of G - rs1) when it holds at
+    most fan_budget + 1 colorings, else a reachability search from its
+    first coloring."""
+    en = space.prefix(cfg.fan_budget + 1)
     if not en.truncated:
-        return en.colorings, True
-    return en.colorings[: cfg.max_colorings], False
-
-
-def _max_fan_for(g, r, s1, cfg) -> MaxFanResult:
-    e = g.edge_id(r, s1)
-    k = degree_profile(g).delta
-    cnt_cap = cfg.fan_budget
-    en = enumerate_colorings(g, e, k, limit=cnt_cap + 1)
-    if not en.truncated:
-        return search_maximum_multifan(g, r, s1, mode="exhaustive", budget=0)
-    phi0 = en.colorings[0]
+        return maximum_multifan_over(g, r, s1, en.colorings)
     return search_maximum_multifan(
-        g, r, s1, mode="reachability", budget=cfg.fan_budget, phi0=phi0
+        g, r, s1, mode="reachability", budget=cfg.fan_budget, phi0=en.colorings[0]
     )
 
 
@@ -702,12 +704,20 @@ def run_lemma_suite(
         for c in want:
             out[c].append(V.inapplicable(c, "no critical edges"))
         return out
-    delta = degree_profile(g).delta
+    prof = degree_profile(g)
+    delta = prof.delta
     for e in crit:
+        # one enumeration of G - e serves both orientations: the sample,
+        # the maximum fans and the pseudo-fans; it is dropped with the edge
+        space = ColoringSpace(g, e, delta)
+        # every coloring when the space is small, else the first
+        # max_colorings in enumeration order
+        sample = space.prefix(cfg.enum_cap + 1)
+        phis = sample.colorings
+        if sample.truncated:
+            phis = phis[: cfg.max_colorings]
         u, v = g.endpoints(e)
         for r, s1 in ((u, v), (v, u)):
-            phis, exhaustive = _coloring_sample(g, e, delta, cfg)
-            prof = degree_profile(g)
             # the tau/shifting/pseudo-fan machinery lives at a light center
             # whose working spoke has degree Delta-1
             typical_setting = (
@@ -718,7 +728,7 @@ def run_lemma_suite(
                           "pfan-adjacency", "fan-missing-r"}
             if want & max_checks:
                 if typical_setting:
-                    maxres = _max_fan_for(g, r, s1, cfg)
+                    maxres = _max_fan_for(g, r, s1, cfg, space)
                 else:
                     reason = "center is not light with a (Delta-1)-degree spoke"
                     for c in want & max_checks:
@@ -790,8 +800,11 @@ def run_lemma_suite(
             if "pfan" in want or "pfan-adjacency" in want:
                 if prof.degrees[r] == delta:
                     try:
-                        pf = grow_pfan(g, r, s1, budget=cfg.fan_budget // 10,
-                                       fan_budget=cfg.fan_budget)
+                        pf = grow_pfan(
+                            g, r, s1, budget=cfg.fan_budget // 10,
+                            fan_budget=cfg.fan_budget, space=space,
+                            exact=maxres if maxres.exact else None,
+                        )
                     except FanError as exc:
                         pf = None
                         reason = f"pseudo-fan not constructible: {exc}"

@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the package's code paths: the graph6 decoder
-works over an explicit bit string, the coloring counter is a plain
-recursive enumerator over sets, and the chromatic-index reference decides
+works over an explicit bit string, the coloring counter and the
+coloring lister are plain recursive enumerators over sets, and the chromatic-index reference decides
 colorability without ordering heuristics, symmetry breaking, or
 overfullness shortcuts.
 """
@@ -85,6 +85,40 @@ def count_colorings_reference(n: int, edges: list[tuple[int, int]], k: int) -> i
         return total
 
     return rec(0)
+
+
+def colorings_reference(
+    n: int, edges: list[tuple[int, int]], skip, k: int
+) -> list[list]:
+    """Every proper k-edge-coloring of the edges except index `skip` (None
+    skips nothing), as per-edge color lists with None at `skip`, in
+    lexicographic order of (edge index, color): a plain recursive
+    enumerator over color sets."""
+    at = [set() for _ in range(n)]
+    colors: list = [None] * len(edges)
+    out: list[list] = []
+
+    def rec(i: int) -> None:
+        if i == len(edges):
+            out.append(list(colors))
+            return
+        if i == skip:
+            rec(i + 1)
+            return
+        u, v = edges[i]
+        for c in range(1, k + 1):
+            if c in at[u] or c in at[v]:
+                continue
+            at[u].add(c)
+            at[v].add(c)
+            colors[i] = c
+            rec(i + 1)
+            colors[i] = None
+            at[u].remove(c)
+            at[v].remove(c)
+
+    rec(0)
+    return out
 
 
 def colorable_reference(n: int, edges: list[tuple[int, int]], k: int) -> bool:

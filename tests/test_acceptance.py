@@ -35,6 +35,7 @@ from fanforge.recolor import (
     witness_tau_item,
 )
 from fanforge.solver import (
+    ColoringSpace,
     chromatic_index,
     critical_edges,
     is_delta_critical,
@@ -191,7 +192,7 @@ def test_criterion_6_witness_sweep():
 
                 if r not in light_vertices(g) or prof.degrees[s1] != delta - 1:
                     continue
-                res = _max_fan_for(g, r, s1, cfg)
+                res = _max_fan_for(g, r, s1, cfg, ColoringSpace(g, e, delta))
                 try:
                     nf = normalize_typical(g, res.phi, res.fan)
                 except Exception:

@@ -161,6 +161,30 @@ def test_scan_workers_deterministic(tmp_path):
     assert a.stdout == b.stdout
 
 
+def _assert_range_error(r, flag):
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.count("\n") == 1 and flag in r.stderr
+
+
+def test_verify_rejects_nonpositive_fan_budget():
+    r = run_cli("verify", "--checks", "all", "--fan-budget", "-1", C5)
+    _assert_range_error(r, "--fan-budget")
+
+
+def test_scan_rejects_zero_workers():
+    _assert_range_error(run_cli("scan", "--workers", "0", C5), "--workers")
+
+
+def test_classify_rejects_negative_budget():
+    _assert_range_error(run_cli("classify", "--budget", "-5", C5), "--budget")
+
+
+def test_fan_rejects_nonpositive_fan_budget():
+    r = run_cli("fan", "--edge", "0-1", "--fan-budget", "-3", C5)
+    _assert_range_error(r, "--fan-budget")
+
+
 def test_env_budget_respected():
     r = run_cli(
         "verify", "--checks", "parity", PET,

@@ -166,6 +166,17 @@ def test_search_maximum_k4_minus_edge():
     assert res.fan.size() == best
 
 
+def test_search_exhaustive_budget_bounds_the_colorings_examined(c5_fixture):
+    # C5 - rs1 has two 2-colorings; 0 is no cap on work, not "no cap"
+    g, _ = c5_fixture
+    with pytest.raises(FanError):
+        search_maximum_multifan(g, 0, 1, mode="exhaustive", budget=0)
+    res = search_maximum_multifan(g, 0, 1, mode="exhaustive", budget=1)
+    assert res.status == "LOWER-BOUND" and res.explored == 1
+    res = search_maximum_multifan(g, 0, 1, mode="exhaustive", budget=2)
+    assert res.status == "EXACT" and res.explored == 2
+
+
 def test_search_reachability_budget_zero(c5_fixture):
     g, phi = c5_fixture
     res = search_maximum_multifan(g, 0, 1, mode="reachability", budget=0, phi0=phi)

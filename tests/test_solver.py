@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanforge import solver
 from fanforge.graphs import (
     SimpleGraph,
     complete,
@@ -9,9 +10,11 @@ from fanforge.graphs import (
     delete_edge,
     delete_vertex,
     from_graph6,
+    path,
     petersen,
 )
 from fanforge.solver import (
+    ColoringSpace,
     EmptyGraphError,
     chromatic_index,
     count_colorings,
@@ -21,12 +24,14 @@ from fanforge.solver import (
     is_delta_critical,
     is_just_overfull,
     is_overfull,
+    iter_colorings,
     overfull_deficiency,
     parity_check,
 )
 from oracles import (
     chromatic_index_reference,
     colorable_reference,
+    colorings_reference,
     count_colorings_reference,
 )
 
@@ -192,6 +197,58 @@ def test_enumerate_truncation_flagged():
 def test_enumerate_k_below_delta_rejected():
     with pytest.raises(ValueError):
         enumerate_colorings(complete(4), None, 2)
+
+
+@pytest.mark.parametrize(
+    "g,e,k",
+    [
+        (cycle(5), 0, 2),
+        (cycle(5), None, 3),
+        (complete(4), None, 3),
+        (complete(4), 2, 4),
+        (delete_edge(complete(5), 0), 3, 4),
+        (from_graph6("Feujg"), None, 4),
+        (from_graph6("Feujg"), 5, 4),
+        (SimpleGraph(3, []), None, 2),
+    ],
+)
+def test_iter_colorings_matches_reference_order(g, e, k):
+    mine = [phi.assignment for phi in iter_colorings(g, e, k)]
+    assert mine == colorings_reference(g.n, list(g.edges), e, k)
+
+
+def test_iter_colorings_deep_path_has_no_recursion_limit():
+    g = path(3001)  # 3,000 edges, far beyond the interpreter's recursion limit
+    phi = next(iter_colorings(g, None, 2))
+    assert phi.assignment == [1 + i % 2 for i in range(3000)]
+    assert phi.validate()
+
+
+def test_coloring_space_prefix_is_enumerate_colorings():
+    space = ColoringSpace(complete(4), 1, 3)
+    for limit in (5, 0, 1, 2, None, 3, 100):
+        a = space.prefix(limit)
+        b = enumerate_colorings(complete(4), 1, 3, limit)
+        assert [p.to_line() for p in a] == [p.to_line() for p in b]
+        assert a.truncated == b.truncated
+
+
+def test_coloring_space_is_lazy(monkeypatch):
+    drawn = []
+    real = solver.iter_colorings
+
+    def counting(g, e, k):
+        for phi in real(g, e, k):
+            drawn.append(phi)
+            yield phi
+
+    monkeypatch.setattr(solver, "iter_colorings", counting)
+    space = ColoringSpace(complete(4), None, 4)
+    assert drawn == []
+    assert space.prefix(3).truncated and len(drawn) == 4
+    space.prefix(2)
+    assert len(drawn) == 4  # a shorter prefix reuses what is stored
+    assert len(space.prefix(6)) == 6 and len(drawn) == 7
 
 
 def test_enumerate_deterministic_order():

@@ -2,17 +2,21 @@ import json
 
 import pytest
 
+from fanforge import fans, solver
 from fanforge.graphs import (
     SimpleGraph,
     complete,
     cycle,
+    degree_profile,
     delete_edge,
     delete_vertex,
     from_graph6,
+    light_vertices,
     petersen,
     to_graph6,
 )
 from fanforge.theorems import (
+    LEMMA_CHECKS,
     ScanConfig,
     check_conjecture,
     check_parity,
@@ -22,6 +26,7 @@ from fanforge.theorems import (
     grow_pfan,
     normalize_checks,
     run_graph_checks,
+    run_lemma_suite,
     scan_corpus,
     summarize,
     summary_tsv,
@@ -100,6 +105,32 @@ def test_pfan_requires_low_degree_spoke():
 
     with pytest.raises(FanError):
         grow_pfan(PM, 0, 6)  # s1 has maximum degree
+
+
+@pytest.mark.parametrize("fan_budget", [2000, 5])
+def test_lemma_suite_enumerates_each_critical_edge_once(monkeypatch, fan_budget):
+    # PM's spaces hold more than 6 colorings, so fan_budget 5 takes the
+    # reachability branches and 2000 the exhaustive ones
+    starts = []
+    real = solver.iter_colorings
+
+    def counting(g, e, k):
+        starts.append(e)
+        return real(g, e, k)
+
+    monkeypatch.setattr(solver, "iter_colorings", counting)
+    monkeypatch.setattr(fans, "iter_colorings", counting)
+    cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=fan_budget)
+    out = run_lemma_suite(PM, cfg, LEMMA_CHECKS)
+    assert any(v.status != "INAPPLICABLE" for v in out["pfan"])
+    assert starts and len(starts) == len(set(starts))
+
+
+def test_degree_facts_are_computed_once_per_graph():
+    g = from_graph6("Feujg")
+    assert degree_profile(g) is degree_profile(g)
+    assert light_vertices(g) is light_vertices(g)
+    assert degree_profile(g) == degree_profile(from_graph6("Feujg"))
 
 
 def test_run_graph_checks_zero_fail_on_corpus():
