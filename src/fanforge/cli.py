@@ -36,9 +36,7 @@ from .theorems import (
     ScanConfig,
     exit_code,
     normalize_checks,
-    run_graph_checks,
     scan_corpus,
-    summarize,
     summary_tsv,
 )
 
@@ -144,19 +142,16 @@ def cmd_verify(args) -> int:
         budget=args.budget,
         fan_budget=args.fan_budget,
     )
-    reports = []
     for i, line in enumerate(lines):
         try:
             from_graph6(line)
         except Graph6Error as exc:
             print(f"parse error on line {i}: {exc}", file=sys.stderr)
             return OP_ERROR
-        rep = run_graph_checks(i, line, cfg)
-        reports.append(rep.to_json())
-    summary = summarize(reports, cfg)
-    _emit(args, "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports))
+    reports, summary = scan_corpus(lines, cfg, workers=1)
+    _emit(args, "".join(r + "\n" for r in reports))
     print(summary_tsv(summary), file=sys.stderr, end="")
-    return exit_code(summary, reports)
+    return exit_code(summary)
 
 
 def cmd_fan(args) -> int:
@@ -296,9 +291,9 @@ def cmd_scan(args) -> int:
     if args.format == "tsv":
         _emit(args, summary_tsv(summary))
     else:
-        _emit(args, "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports))
+        _emit(args, "".join(r + "\n" for r in reports))
     print(summary_tsv(summary), file=sys.stderr, end="")
-    return exit_code(summary, reports)
+    return exit_code(summary)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,30 +35,36 @@ class SimpleGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen = set()
+        # a pair already given as a (u, v) tuple with u < v is kept as is,
+        # so graphs built from another graph's edges share its pairs
         norm = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"parallel edge {e}")
-            seen.add(e)
-            norm.append(e)
-        norm.sort()
-        self.n = n
-        self.edges = tuple(norm)
-        self.edge_index = {e: i for i, e in enumerate(norm)}
+        for p in edges:
+            u, v = p
+            if 0 <= u < v < n:
+                if type(p) is not tuple:
+                    p = (u, v)
+            elif 0 <= v < u < n:
+                p = (v, u)
+            else:
+                _raise_first_fault(n, norm, u, v)
+            norm.append(p)
+        pairs = sorted(norm)
+        index = dict(zip(pairs, range(len(pairs))))
+        if len(index) < len(pairs):
+            _raise_first_fault(n, norm)
+        adj = [[] for _ in range(n)]
         masks = [0] * n
-        for u, v in norm:
+        # in sorted pair order each vertex meets its neighbors ascending
+        for u, v in pairs:
+            adj[u].append(v)
+            adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        self.n = n
+        self.edges = tuple(pairs)
+        self.edge_index = index
         self.adj_mask = tuple(masks)
-        self.adjacency = tuple(
-            tuple(w for w in range(n) if (masks[v] >> w) & 1) for v in range(n)
-        )
+        self.adjacency = tuple(map(tuple, adj))
 
     # -- basic queries ----------------------------------------------------
 
@@ -69,7 +75,7 @@ class SimpleGraph:
         return len(self.adjacency[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edge_index
@@ -133,6 +139,20 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, m={len(self.edges)})"
+
+
+def _raise_first_fault(n: int, pairs: list, u=None, v=None):
+    """Raise the error for the first repeated pair in `pairs` (given in
+    input order, normalized), else for the faulty pair (u, v) read after
+    them."""
+    seen = set()
+    for e in pairs:
+        if e in seen:
+            raise ValueError(f"parallel edge {e}")
+        seen.add(e)
+    if u == v:
+        raise ValueError(f"loop at vertex {u}")
+    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,8 +239,9 @@ def to_graph6(g: SimpleGraph) -> str:
     acc = 0
     nacc = 0
     for j in range(1, n):
+        col = g.adj_mask[j]
         for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
+            acc = (acc << 1) | ((col >> i) & 1)
             nacc += 1
             if nacc == 6:
                 out.append(chr(acc + 63))
@@ -369,7 +390,7 @@ def delete_edge(g: SimpleGraph, e: int) -> SimpleGraph:
     """Remove edge id e; remaining edges re-index in sorted order."""
     if not (0 <= e < len(g.edges)):
         raise ValueError(f"edge {e} out of range")
-    return SimpleGraph(g.n, [p for i, p in enumerate(g.edges) if i != e])
+    return SimpleGraph(g.n, g.edges[:e] + g.edges[e + 1:])
 
 
 def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> SimpleGraph:

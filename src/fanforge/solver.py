@@ -296,8 +296,9 @@ def parity_check(g: SimpleGraph, phi: PartialEdgeColoring) -> ParityReport:
         raise ValueError("parity check needs a complete coloring")
     counts = {}
     bad = []
+    missing = phi.missing
     for c in range(1, phi.k + 1):
-        cnt = sum(1 for v in range(g.n) if phi.misses(v, c))
+        cnt = sum(m >> (c - 1) & 1 for m in missing)
         counts[c] = cnt
         if cnt % 2 != g.n % 2:
             bad.append(c)

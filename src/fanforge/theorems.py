@@ -463,9 +463,12 @@ def check_parity(g: SimpleGraph, budget: Optional[int] = None) -> V.Verdict:
     if cv.status != "ok":
         return V.unknown(name, "chromatic index undecided within budget")
     rep = parity_check(g, cv.witness)
+    # string keys, as JSON writes them: a report line then reads the same
+    # whether it is encoded once or decoded and encoded again
+    counts = {str(c): cnt for c, cnt in rep.counts.items()}
     if rep.ok:
-        return V.passed(name, counts=rep.counts, chi_prime=cv.chi_prime)
-    return V.failed(name, violations=rep.violations, counts=rep.counts)
+        return V.passed(name, counts=counts, chi_prime=cv.chi_prime)
+    return V.failed(name, violations=rep.violations, counts=counts)
 
 
 def _delta_critical_gate(name, g, budget):
@@ -1027,20 +1030,32 @@ def run_graph_checks(
 
 
 def _worker(args):
+    """One scan task: the report as its encoded JSON line, plus the
+    (check, status) pair of each verdict, or None for a report with an
+    error."""
     line_no, line, cfg_json = args
     cfg = ScanConfig(**cfg_json)
     cfg.checks = tuple(cfg.checks)
     rep = run_graph_checks(line_no, line, cfg)
-    return rep.line_no, json.dumps(rep.to_json(), sort_keys=True)
+    if rep.error:
+        tally = None
+    else:
+        tally = [
+            (name, vd["status"])
+            for name, verdicts in rep.checks.items()
+            for vd in verdicts
+        ]
+    return json.dumps(rep.to_json(), sort_keys=True), tally
 
 
 def scan_corpus(
     lines: Iterable[str],
     cfg: ScanConfig,
     workers: int = 1,
-) -> tuple[list[dict], dict]:
-    """One report per input line, content independent of worker count;
-    summary aggregates verdict counts per check."""
+) -> tuple[list[str], dict]:
+    """One encoded JSON report line per input line, in input order and
+    independent of the worker count, plus a summary of the verdict
+    counts per check."""
     tasks = []
     for i, line in enumerate(lines):
         s = line.strip()
@@ -1054,31 +1069,25 @@ def scan_corpus(
             packed = pool.map(_worker, tasks, chunksize=16)
     else:
         packed = [_worker(t) for t in tasks]
-    packed.sort(key=lambda p: p[0])
-    reports = [json.loads(s) for _, s in packed]
-    return reports, summarize(reports, cfg)
-
-
-def summarize(reports: list[dict], cfg: Optional[ScanConfig] = None) -> dict:
     counts: dict[str, dict[str, int]] = {}
     errors = 0
-    for rep in reports:
-        if rep.get("error"):
+    for _, tally in packed:
+        if tally is None:
             errors += 1
             continue
-        for name, verdicts in rep.get("checks", {}).items():
+        for name, status in tally:
             slot = counts.setdefault(
                 name,
                 {V.PASS: 0, V.FAIL: 0, V.INAPPLICABLE: 0, V.UNKNOWN: 0, V.CONDITIONAL: 0},
             )
-            for vd in verdicts:
-                slot[vd["status"]] += 1
-    return {
-        "graphs": len(reports),
+            slot[status] += 1
+    summary = {
+        "graphs": len(packed),
         "errors": errors,
         "checks": counts,
-        "config": cfg.to_json() if cfg else None,
+        "config": cfg.to_json(),
     }
+    return [report for report, _ in packed], summary
 
 
 def summary_tsv(summary: dict) -> str:
@@ -1090,7 +1099,7 @@ def summary_tsv(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def exit_code(summary: dict, reports: list[dict]) -> int:
+def exit_code(summary: dict) -> int:
     """0 all PASS/INAPPLICABLE; 1 any FAIL; 2 any UNKNOWN/CONDITIONAL
     without FAIL; 3 any per-line operational error."""
     if summary.get("errors"):

@@ -161,6 +161,36 @@ def test_scan_workers_deterministic(tmp_path):
     assert a.stdout == b.stdout
 
 
+K11 = to_graph6(complete(11))
+# the line `scan` printed for K11 before both commands shared one encoder:
+# parity counts keyed by color as JSON strings, so "10" sorts before "2"
+K11_PARITY_LINE = (
+    '{"checks": {"parity": [{"check": "parity", "detail": {"chi_prime": 11, '
+    '"counts": {"1": 1, "10": 1, "11": 1, "2": 1, "3": 1, "4": 1, "5": 1, '
+    '"6": 1, "7": 1, "8": 1, "9": 1}}, "status": "PASS"}]}, "error": null, '
+    '"graph6": "J~~~~~~~~~_", "line_no": 0, "meta": {"chi_prime": 11, '
+    '"class": "two", "connected": true, "core_acyclic": false, '
+    '"core_max_degree": 10, "core_min_degree": 10, "delta": 10, '
+    '"just_overfull": false, "m": 55, "n": 11, "overfull": true}}\n'
+)
+
+
+def test_verify_and_scan_print_the_same_k11_parity_line():
+    v = run_cli("verify", "--checks", "parity", K11)
+    s = run_cli("scan", "--checks", "parity", K11)
+    assert v.returncode == s.returncode == 0
+    assert v.stdout == s.stdout == K11_PARITY_LINE
+
+
+def test_verify_and_scan_print_identical_reports():
+    inp = "\n".join([C5, C4, PM, PET]) + "\n"
+    v = run_cli("verify", "--checks", "graph", stdin=inp)
+    s = run_cli("scan", "--checks", "graph", "--workers", "2", stdin=inp)
+    assert v.returncode == s.returncode
+    assert v.stdout == s.stdout and v.stdout.count("\n") == 4
+    assert v.stderr == s.stderr
+
+
 def _assert_range_error(r, flag):
     assert r.returncode == 3
     assert r.stdout == ""

@@ -105,3 +105,22 @@ def test_networkx_agrees_on_fixture(fixture_lines):
         h = nx.from_graph6_bytes(line.encode())
         assert set(h.nodes) == set(range(g.n))
         assert {frozenset(e) for e in h.edges} == {frozenset(e) for e in g.edges}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_encoder_matches_reference_short_and_long_form(data):
+    n = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=62), st.integers(min_value=63, max_value=90)
+    ))
+    pairs = data.draw(st.lists(
+        st.integers(0, n - 2).flatmap(
+            lambda u: st.tuples(st.just(u), st.integers(u + 1, n - 1))
+        ),
+        unique=True, max_size=80,
+    )) if n > 1 else []
+    g = SimpleGraph(n, pairs)
+    line = to_graph6(g)
+    assert line == encode_graph6_reference(n, {frozenset(p) for p in pairs})
+    assert (line[0] == "~") == (n >= 63)
+    assert from_graph6(line) == g

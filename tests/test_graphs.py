@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanforge.graphs import (
     SimpleGraph,
@@ -22,6 +23,71 @@ def test_rejects_loops_and_parallels():
         SimpleGraph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         SimpleGraph(2, [(0, 5)])
+
+
+def test_construction_errors_name_the_first_fault_in_input_order():
+    with pytest.raises(ValueError, match=r"^loop at vertex 2$"):
+        SimpleGraph(3, [(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match=r"^edge \(0,5\) out of range for n=2$"):
+        SimpleGraph(2, [(0, 5)])
+    with pytest.raises(ValueError, match=r"^parallel edge \(0, 1\)$"):
+        SimpleGraph(3, [[1, 0], (0, 1), (2, 2)])
+    with pytest.raises(ValueError, match=r"^loop at vertex 2$"):
+        SimpleGraph(3, [(2, 2), (0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="non-negative"):
+        SimpleGraph(-1, [])
+
+
+@st.composite
+def edge_inputs(draw, max_n=12):
+    """(n, the simple graph's edge set, the same edges as a constructor
+    argument: shuffled, each pair in either orientation, as a tuple or a
+    list)."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    chosen = draw(st.permutations(chosen))
+    given_as = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        given_as.append((u, v) if draw(st.booleans()) else [u, v])
+    return n, set(chosen), given_as
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_inputs())
+def test_construction_matches_an_independent_reference(case):
+    n, edge_set, given_as = case
+    g = SimpleGraph(n, given_as)
+    ref_edges = tuple(sorted(edge_set))
+    assert g.n == n
+    assert g.edges == ref_edges
+    assert all(type(p) is tuple for p in g.edges)
+    assert g.edge_index == {p: i for i, p in enumerate(ref_edges)}
+    nbrs = {v: set() for v in range(n)}
+    for u, v in edge_set:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    assert g.adjacency == tuple(tuple(sorted(nbrs[v])) for v in range(n))
+    assert g.adj_mask == tuple(sum(1 << w for w in nbrs[v]) for v in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_inputs(), st.data())
+def test_delete_edge_is_construction_without_the_edge(case, data):
+    n, _, given_as = case
+    g = SimpleGraph(n, given_as)
+    if not g.edges:
+        return
+    e = data.draw(st.integers(min_value=0, max_value=len(g.edges) - 1))
+    h = delete_edge(g, e)
+    ref = SimpleGraph(n, [p for i, p in enumerate(g.edges) if i != e])
+    assert (h.edges, h.edge_index, h.adjacency, h.adj_mask) == (
+        ref.edges, ref.edge_index, ref.adjacency, ref.adj_mask
+    )
+    # G - e shares its pair objects with G
+    assert all(h.edges[i] is g.edges[i if i < e else i + 1] for i in range(len(h.edges)))
 
 
 def test_edges_sorted_and_indexed():

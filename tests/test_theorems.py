@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanforge import fans, solver
 from fanforge.graphs import (
@@ -28,7 +29,6 @@ from fanforge.theorems import (
     run_graph_checks,
     run_lemma_suite,
     scan_corpus,
-    summarize,
     summary_tsv,
     verify_pfan_adjacency,
     verify_pfan_properties,
@@ -145,20 +145,21 @@ def test_run_graph_checks_zero_fail_on_corpus():
 
 def test_scan_parse_error_isolated():
     cfg = ScanConfig()
-    reports, summary = scan_corpus(
+    lines, summary = scan_corpus(
         [to_graph6(cycle(5)), "!!bad!!", to_graph6(cycle(4))], cfg
     )
+    reports = [json.loads(line) for line in lines]
     assert len(reports) == 3
     assert summary["errors"] == 1
     assert reports[1]["error"]
     assert reports[0]["checks"]
-    assert exit_code(summary, reports) == 3
+    assert exit_code(summary) == 3
 
 
 def test_scan_empty_stream():
     reports, summary = scan_corpus([], ScanConfig())
     assert reports == []
-    assert exit_code(summary, reports) == 0
+    assert exit_code(summary) == 0
 
 
 def test_scan_deterministic_across_workers():
@@ -170,16 +171,50 @@ def test_scan_deterministic_across_workers():
     assert s1["checks"] == s2["checks"]
 
 
+def test_scan_lines_are_canonical_json_for_every_worker_count(fixture_lines):
+    # criterion 9's invariant: each line is the report encoded once with
+    # sorted keys, so decoding and re-encoding gives the same bytes, and
+    # the line list does not depend on the worker count
+    cfg = ScanConfig(checks=("val", "parity"))
+    lines1, s1 = scan_corpus(fixture_lines, cfg, workers=1)
+    assert len(lines1) == len(fixture_lines)
+    for line in lines1:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+    lines2, s2 = scan_corpus(fixture_lines, cfg, workers=2)
+    assert lines1 == lines2
+    assert s1 == s2
+
+
+def test_scan_summary_counts_every_verdict_of_every_report():
+    lines = [to_graph6(cycle(5)), to_graph6(PM), "!!bad!!", to_graph6(cycle(4))]
+    cfg = ScanConfig(checks=normalize_checks("graph"))
+    reports, summary = scan_corpus(lines, cfg)
+    decoded = [json.loads(r) for r in reports]
+    assert summary["graphs"] == 4 and summary["errors"] == 1
+    assert summary["config"] == cfg.to_json()
+    expect: dict = {}
+    for rep in decoded:
+        if rep["error"]:
+            continue
+        for name, verdicts in rep["checks"].items():
+            row = expect.setdefault(
+                name, dict.fromkeys(("PASS", "FAIL", "INAPPLICABLE", "UNKNOWN", "CONDITIONAL"), 0)
+            )
+            for vd in verdicts:
+                row[vd["status"]] += 1
+    assert summary["checks"] == expect
+
+
 def test_exit_codes():
     cfg = ScanConfig(checks=("val", "parity"))
     reports, summary = scan_corpus([to_graph6(cycle(5))], cfg)
-    assert exit_code(summary, reports) == 0
+    assert exit_code(summary) == 0
     # a failing check is simulated by editing the summary
     summary["checks"]["val"]["FAIL"] = 1
-    assert exit_code(summary, reports) == 1
+    assert exit_code(summary) == 1
     summary["checks"]["val"]["FAIL"] = 0
     summary["checks"]["val"]["UNKNOWN"] = 1
-    assert exit_code(summary, reports) == 2
+    assert exit_code(summary) == 2
 
 
 def test_summary_tsv_shape():
@@ -303,3 +338,32 @@ def test_pfan_violation_downgrades_without_certified_maximum():
     assert pf.base.status == "LOWER-BOUND"
     res = verify_pfan_properties(g, pf, critical=True, class_two=True)
     assert res.status in ("PASS", "CONDITIONAL")
+
+
+@pytest.fixture(scope="module")
+def class_two_lines(fixture_lines):
+    return [
+        line for line in fixture_lines
+        if from_graph6(line).edges and solver.chromatic_index(from_graph6(line)).cls == "two"
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_relabeling_keeps_every_graph_level_status(fixture_lines, class_two_lines, data):
+    # lemma checks are left out: they sample colorings in enumeration
+    # order, so their counts depend on the labeling
+    line = data.draw(st.one_of(
+        st.sampled_from(class_two_lines), st.sampled_from(fixture_lines)
+    ))
+    g = from_graph6(line)
+    perm = data.draw(st.permutations(range(g.n)))
+    h = SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    cfg = ScanConfig(checks=normalize_checks("graph"))
+
+    def statuses(graph):
+        rep = run_graph_checks(0, to_graph6(graph), cfg)
+        assert rep.error is None
+        return {name: [vd["status"] for vd in vs] for name, vs in rep.checks.items()}
+
+    assert statuses(h) == statuses(g)
