@@ -63,12 +63,22 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits with
+    OP_ERROR, where argparse would exit with 2 (UNKNOWN)."""
+
+    def error(self, message):
+        self.exit(OP_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _parse_edge(spec: str) -> tuple[int, int]:
     try:
         a, b = spec.split("-")
         return int(a), int(b)
-    except Exception:
-        raise SystemExit(OP_ERROR)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a u-v vertex pair, got {spec!r}"
+        ) from None
 
 
 def cmd_classify(args) -> int:
@@ -164,7 +174,7 @@ def cmd_fan(args) -> int:
     except Graph6Error as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return OP_ERROR
-    r, s1 = _parse_edge(args.edge)
+    r, s1 = args.edge
     try:
         e = g.edge_id(r, s1)
     except ValueError as exc:
@@ -233,7 +243,7 @@ def cmd_tau(args) -> int:
     except Graph6Error as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return OP_ERROR
-    r, s1 = _parse_edge(args.edge)
+    r, s1 = args.edge
     try:
         g.edge_id(r, s1)
     except ValueError as exc:
@@ -297,54 +307,58 @@ def cmd_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fanforge",
         description="Edge-coloring recoloring machinery with an exact "
         "chromatic-index oracle and structural checkers for small graphs",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, edge=False):
+    def common(sp, *flags):
         sp.add_argument("graph", nargs="*", help="inline graph6 string(s)")
         sp.add_argument("--input", help="file of graph6 lines")
         sp.add_argument("--output", help="write machine output here instead of stdout")
-        sp.add_argument(
-            "--budget",
-            type=int,
-            default=node_budget_default(),
-            help="solver node budget (env FANFORGE_BUDGET)",
-        )
-        sp.add_argument("--fan-budget", type=int, default=2000,
-                        help="coloring enumeration cap / BFS budget for fans")
-        sp.add_argument("--format", choices=["json", "tsv"], default="json")
-        if edge:
-            sp.add_argument("--edge", required=True, help="edge as u-v vertex pair")
+        if "budget" in flags:
+            sp.add_argument(
+                "--budget",
+                type=int,
+                default=node_budget_default(),
+                help="solver node budget (env FANFORGE_BUDGET)",
+            )
+        if "fan-budget" in flags:
+            sp.add_argument("--fan-budget", type=int, default=2000,
+                            help="coloring enumeration cap / BFS budget for fans")
+        if "format" in flags:
+            sp.add_argument("--format", choices=["json", "tsv"], default="json")
+        if "edge" in flags:
+            sp.add_argument("--edge", required=True, type=_parse_edge,
+                            help="edge as u-v vertex pair")
             sp.add_argument("--mode", choices=["exhaustive", "reachability"],
                             default="exhaustive")
 
     sp = sub.add_parser("classify", help="order, size, chi', class, overfullness")
-    common(sp)
+    common(sp, "budget", "format")
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("verify", help="run checks on each input graph")
-    common(sp)
+    common(sp, "budget", "fan-budget")
     sp.add_argument("--checks", default="graph",
                     help="comma list or groups: all, graph, lemmas, theorems, conjectures")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("fan", help="maximum multifan, typical form, tau overview")
-    common(sp, edge=True)
+    common(sp, "budget", "fan-budget", "edge")
     sp.add_argument("--force", action="store_true",
                     help="allow exhaustive mode on large graphs")
     sp.set_defaults(fn=cmd_fan)
 
     sp = sub.add_parser("tau", help="tau-sequences at a normalized maximum fan")
-    common(sp, edge=True)
+    common(sp, "fan-budget", "edge")
     sp.add_argument("--color", type=int, default=None, help="restrict to one color")
     sp.set_defaults(fn=cmd_tau)
 
     sp = sub.add_parser("scan", help="corpus scan over a graph6 stream")
-    common(sp)
+    common(sp, "budget", "fan-budget", "format")
     sp.add_argument("--checks", default="graph")
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_scan)
@@ -352,13 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _range_error(args) -> Optional[str]:
-    """The first numeric flag outside its range, as a one-line message.
-
-    Checked here rather than by argparse, which exits with 2 (UNKNOWN).
-    """
-    if args.budget < 0:
+    """The first numeric flag outside its range, as a one-line message."""
+    if getattr(args, "budget", 0) < 0:
         return f"--budget must be >= 0, got {args.budget}"
-    if args.fan_budget < 1:
+    if getattr(args, "fan_budget", 1) < 1:
         return f"--fan-budget must be >= 1, got {args.fan_budget}"
     workers = getattr(args, "workers", 1)
     if workers < 1:

@@ -23,7 +23,7 @@ from .colorings import (
     swap_moves,
 )
 from .graphs import SimpleGraph, degree_profile, light_vertices
-from .solver import iter_colorings
+from .solver import BudgetExceeded, graph_facts, iter_colorings
 
 
 class FanError(ValueError):
@@ -687,21 +687,40 @@ def _first_clash(phi: PartialEdgeColoring, vs: Sequence[int]):
     return None
 
 
-def _hypothesis_gate(name, g, e, critical, class_two) -> Optional[V.Verdict]:
-    if class_two is None or critical is None:
-        from .solver import chromatic_index, is_critical_edge
+def _hypothesis_gate(name, g, e=None, critical=None, class_two=None, *,
+                     budget=None, assume="critical-edge") -> Optional[V.Verdict]:
+    """None when G meets what check `name` assumes, else the UNKNOWN or
+    INAPPLICABLE verdict for the first assumption undecided or false.
 
-        verdict = chromatic_index(g)
-        if verdict.status != "ok":
-            return V.unknown(name, "chromatic index undecided within budget")
-        if class_two is None:
-            class_two = verdict.cls == "two"
-        if critical is None:
-            critical = class_two and is_critical_edge(g, e)
-    if not class_two:
-        return V.inapplicable(name, "graph is class 1")
-    if not critical:
-        return V.inapplicable(name, "uncolored edge is not critical")
+    `assume` names how much of "critical class 2" the check rests on, each
+    level on top of the one before: "chi" (chi' decided within `budget`),
+    "class-two", "criticality" (every edge's criticality decided),
+    "critical-edge" (edge e critical) or "critical-graph" (every edge
+    critical). `class_two` and `critical`, when the caller knows them,
+    stand in for their queries; the rest come from `solver.graph_facts`.
+    """
+    try:
+        if class_two is None or critical is None or assume != "critical-edge":
+            facts = graph_facts(g, budget)
+            if facts.verdict.status != "ok":
+                return V.unknown(name, "chromatic index undecided within budget")
+            if class_two is None:
+                class_two = facts.verdict.cls == "two"
+        if assume == "chi":
+            return None
+        if not class_two:
+            return V.inapplicable(name, "graph is class 1")
+        if assume == "criticality":
+            facts.critical_edges()
+        elif assume == "critical-edge":
+            if critical is None:
+                critical = facts.edge_critical(e)
+            if not critical:
+                return V.inapplicable(name, "uncolored edge is not critical")
+        elif assume == "critical-graph" and not facts.delta_critical():
+            return V.inapplicable(name, "graph is not edge-critical")
+    except BudgetExceeded:
+        return V.unknown(name, "criticality undecided within budget")
     return None
 
 

@@ -26,11 +26,12 @@ class SimpleGraph:
     (u, v) pair with u < v, and `edge_index` maps pairs back to ids.
     `adj_mask[v]` is the neighbor set of v as an int bitmask.
     `degree_profile` and `light_vertices` memoize their answers in the
-    `_profile` and `_light` slots on first call; pickles leave them out.
+    `_profile` and `_light` slots on first call, and `solver.graph_facts`
+    its chi' and criticality facts in `_facts`; pickles leave them out.
     """
 
     __slots__ = ("n", "adjacency", "edges", "edge_index", "adj_mask",
-                 "_profile", "_light")
+                 "_profile", "_light", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .colorings import PartialEdgeColoring
-from .graphs import SimpleGraph, degree_profile
+from .graphs import SimpleGraph, degree_profile, delete_edge
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -167,81 +167,83 @@ def _chromatic_index_uncached(g: SimpleGraph, budget: int) -> ClassVerdict:
     return ClassVerdict(delta + 1, "two", phi, nodes_total)
 
 
-def is_class_two(g: SimpleGraph, budget: Optional[int] = None) -> Optional[bool]:
-    v = chromatic_index(g, budget)
-    if v.status != "ok":
-        return None
-    return v.cls == "two"
+class GraphFacts:
+    """chi'(G) and the criticality of G's edges at one node budget, each
+    decided once.
+
+    `verdict` is G's ClassVerdict. The criticality questions assume G is
+    class 2, raise BudgetExceeded when a chi' they rest on is undecided
+    within the budget, and memoize their answer per edge.
+    """
+
+    __slots__ = ("graph", "budget", "verdict", "_nodes", "_critical")
+
+    def __init__(self, g: SimpleGraph, budget: Optional[int]):
+        self.graph = g
+        self.budget = budget  # as asked: the memo key of graph_facts
+        self._nodes = node_budget_default() if budget is None else budget
+        self.verdict = chromatic_index(g, self._nodes)
+        self._critical: dict[int, bool] = {}
+
+    def edge_critical(self, e: int) -> bool:
+        """chi'(G - e) < chi'(G). The one place that builds G - e."""
+        base = self.verdict
+        if base.status != "ok":
+            raise BudgetExceeded("base chromatic index undecided")
+        if base.cls != "two":
+            raise ValueError("criticality asked on a class-1 graph")
+        known = self._critical
+        if e not in known:
+            # class 2 needs m >= 3, so G - e keeps an edge
+            after = chromatic_index(delete_edge(self.graph, e), self._nodes)
+            if after.status != "ok":
+                raise BudgetExceeded("deletion chromatic index undecided")
+            known[e] = after.chi_prime < base.chi_prime
+        return known[e]
+
+    def critical_edges(self) -> list[int]:
+        """Edge ids whose deletion lowers chi'. Empty for class-1 input."""
+        if self.verdict.cls == "one":
+            return []
+        return [e for e in range(len(self.graph.edges)) if self.edge_critical(e)]
+
+    def delta_critical(self) -> bool:
+        """Every proper subgraph has a smaller chromatic index (class two).
+
+        Equivalent to: class two, every edge critical, and no isolated
+        vertex (removing an isolated vertex is a proper subgraph with
+        equal chi'). Stops at the first non-critical edge.
+        """
+        if self.verdict.cls == "one":
+            return False
+        if any(len(a) == 0 for a in self.graph.adjacency):
+            return False
+        return all(self.edge_critical(e) for e in range(len(self.graph.edges)))
+
+
+def graph_facts(g: SimpleGraph, budget: Optional[int] = None) -> GraphFacts:
+    """The GraphFacts of g at `budget`, built on the first call and kept
+    on g until a call asks for another budget. A None budget is resolved
+    from FANFORGE_BUDGET once, when the facts are built."""
+    facts = getattr(g, "_facts", None)
+    if facts is None or facts.budget != budget:
+        facts = g._facts = GraphFacts(g, budget)
+    return facts
 
 
 def is_critical_edge(g: SimpleGraph, e: int, budget: Optional[int] = None) -> bool:
     """chi'(G - e) < chi'(G); meaningful for class-2 graphs (checked)."""
-    from .graphs import delete_edge
-
-    base = chromatic_index(g, budget)
-    if base.status != "ok":
-        raise BudgetExceeded("base chromatic index undecided")
-    if base.cls != "two":
-        raise ValueError("criticality asked on a class-1 graph")
-    rest = delete_edge(g, e)
-    if len(rest.edges) == 0:
-        return base.chi_prime > 0
-    after = chromatic_index(rest, budget)
-    if after.status != "ok":
-        raise BudgetExceeded("deletion chromatic index undecided")
-    return after.chi_prime < base.chi_prime
+    return graph_facts(g, budget).edge_critical(e)
 
 
 def is_delta_critical(g: SimpleGraph, budget: Optional[int] = None) -> bool:
-    """Every proper subgraph has a smaller chromatic index (class two).
-
-    Equivalent to: class two, every edge critical, and no isolated vertex
-    (removing an isolated vertex is a proper subgraph with equal chi', so
-    a disconnected graph with isolated vertices is never critical).
-    """
-    from .graphs import delete_edge
-
-    base = chromatic_index(g, budget)
-    if base.status != "ok":
-        raise BudgetExceeded("base chromatic index undecided")
-    if base.cls != "two":
-        return False
-    if any(len(a) == 0 for a in g.adjacency):
-        return False
-    for e in range(len(g.edges)):
-        rest = delete_edge(g, e)
-        if len(rest.edges) == 0:
-            continue
-        after = chromatic_index(rest, budget)
-        if after.status != "ok":
-            raise BudgetExceeded("deletion chromatic index undecided")
-        if after.chi_prime >= base.chi_prime:
-            return False
-    return True
+    """Every proper subgraph has a smaller chromatic index (class two)."""
+    return graph_facts(g, budget).delta_critical()
 
 
 def critical_edges(g: SimpleGraph, budget: Optional[int] = None) -> list[int]:
     """Edge ids whose deletion lowers chi'. Empty for class-1 input."""
-    from .graphs import delete_edge
-
-    base = chromatic_index(g, budget)
-    if base.status != "ok":
-        raise BudgetExceeded("base chromatic index undecided")
-    if base.cls != "two":
-        return []
-    out = []
-    for e in range(len(g.edges)):
-        rest = delete_edge(g, e)
-        if len(rest.edges) == 0:
-            if base.chi_prime > 0:
-                out.append(e)
-            continue
-        after = chromatic_index(rest, budget)
-        if after.status != "ok":
-            raise BudgetExceeded("deletion chromatic index undecided")
-        if after.chi_prime < base.chi_prime:
-            out.append(e)
-    return out
+    return graph_facts(g, budget).critical_edges()
 
 
 # -- overfull arithmetic (exact integers, no floats) ------------------------

@@ -55,10 +55,8 @@ from .recolor import (
     witness_tau_item,
 )
 from .solver import (
-    BudgetExceeded,
     ColoringSpace,
-    chromatic_index,
-    critical_edges,
+    graph_facts,
     is_just_overfull,
     is_overfull,
     parity_check,
@@ -83,6 +81,10 @@ GRAPH_CHECKS = ("val", "parity") + THEOREM_NAMES + tuple(
     "conj-" + c for c in CONJECTURE_NAMES
 )
 ALL_CHECKS = GRAPH_CHECKS + LEMMA_CHECKS
+
+MAX_COLORINGS = 10  # colorings the lemma suite samples per critical edge
+ENUM_CAP = 200  # up to this many, it uses every coloring instead
+WITNESS_BUDGET = 800  # tau-witness fallback search
 
 
 # -- pseudo-fans ---------------------------------------------------------------
@@ -430,18 +432,13 @@ def check_val(g: SimpleGraph, budget: Optional[int] = None) -> V.Verdict:
     """Every critical edge xy: x has at least Delta - d(y) + 1 max-degree
     neighbors besides y (and symmetrically)."""
     name = "val"
-    cv = chromatic_index(g, budget)
-    if cv.status != "ok":
-        return V.unknown(name, "chromatic index undecided within budget")
-    if cv.cls != "two":
-        return V.inapplicable(name, "graph is class 1")
+    gate = _hypothesis_gate(name, g, budget=budget, assume="criticality")
+    if gate is not None:
+        return gate
+    crit = graph_facts(g, budget).critical_edges()
     prof = degree_profile(g)
     delta = prof.delta
     dv = set(prof.delta_vertices)
-    try:
-        crit = critical_edges(g, budget)
-    except BudgetExceeded:
-        return V.unknown(name, "criticality undecided within budget")
     checked = 0
     for e in crit:
         x, y = g.endpoints(e)
@@ -459,9 +456,10 @@ def check_val(g: SimpleGraph, budget: Optional[int] = None) -> V.Verdict:
 def check_parity(g: SimpleGraph, budget: Optional[int] = None) -> V.Verdict:
     """The solver witness must satisfy the per-color parity bound."""
     name = "parity"
-    cv = chromatic_index(g, budget)
-    if cv.status != "ok":
-        return V.unknown(name, "chromatic index undecided within budget")
+    gate = _hypothesis_gate(name, g, budget=budget, assume="chi")
+    if gate is not None:
+        return gate
+    cv = graph_facts(g, budget).verdict
     rep = parity_check(g, cv.witness)
     # string keys, as JSON writes them: a report line then reads the same
     # whether it is encoded once or decoded and encoded again
@@ -471,44 +469,34 @@ def check_parity(g: SimpleGraph, budget: Optional[int] = None) -> V.Verdict:
     return V.failed(name, violations=rep.violations, counts=counts)
 
 
-def _delta_critical_gate(name, g, budget):
-    cv = chromatic_index(g, budget)
-    if cv.status != "ok":
-        return None, V.unknown(name, "chromatic index undecided within budget")
-    if cv.cls != "two":
-        return None, V.inapplicable(name, "graph is class 1")
-    from .solver import is_delta_critical
-
-    try:
-        if not is_delta_critical(g, budget):
-            return None, V.inapplicable(name, "graph is not edge-critical")
-    except BudgetExceeded:
-        return None, V.unknown(name, "criticality undecided within budget")
-    return cv, None
-
-
 def check_theorem(name: str, g: SimpleGraph, budget: Optional[int] = None) -> V.Verdict:
     if name not in THEOREM_NAMES:
         raise ValueError(f"unknown theorem check {name!r}")
+    # s1-adj and longk ask the criticality of single edges, in their loops
+    assume = "class-two" if name in ("s1-adj", "longk") else "critical-graph"
+    gate = _hypothesis_gate(name, g, budget=budget, assume=assume)
+    if gate is not None:
+        return gate
+
+    def critical(r, s):
+        """None when rs is critical, else the verdict that says why not."""
+        return _hypothesis_gate(name, g, g.edge_id(r, s), class_two=True, budget=budget)
+
     prof = degree_profile(g)
     delta = prof.delta
     n = g.n
     if name == "s1-adj":
-        cv = chromatic_index(g, budget)
-        if cv.status != "ok":
-            return V.unknown(name, "chromatic index undecided within budget")
-        if cv.cls != "two":
-            return V.inapplicable(name, "graph is class 1")
         dv = set(prof.delta_vertices)
         lv = set(light_vertices(g))
-        from .solver import is_critical_edge
-
         instances = 0
         for r in sorted(dv & lv):
             for s in g.adjacency[r]:
                 if prof.degrees[s] >= delta:
                     continue
-                if not is_critical_edge(g, g.edge_id(r, s), budget):
+                gate = critical(r, s)
+                if gate is not None:
+                    if gate.status == V.UNKNOWN:
+                        return gate
                     continue
                 instances += 1
                 outside = set(g.adjacency[s]) - set(g.adjacency[r])
@@ -519,16 +507,9 @@ def check_theorem(name: str, g: SimpleGraph, budget: Optional[int] = None) -> V.
             return V.inapplicable(name, "no light max-degree center with a critical low edge")
         return V.passed(name, instances=instances)
     if name == "longk":
-        cv = chromatic_index(g, budget)
-        if cv.status != "ok":
-            return V.unknown(name, "chromatic index undecided within budget")
-        if cv.cls != "two":
-            return V.inapplicable(name, "graph is class 1")
         dv = set(prof.delta_vertices)
         lv = set(light_vertices(g))
         nd = {v: set(g.adjacency[v]) for v in range(n)}
-        from .solver import is_critical_edge
-
         instances = 0
         for r in sorted(dv & lv):
             n_delta_r = {w for w in nd[r] if prof.degrees[w] == delta}
@@ -536,7 +517,10 @@ def check_theorem(name: str, g: SimpleGraph, budget: Optional[int] = None) -> V.
             for s in nd[r]:
                 if prof.degrees[s] != delta - 1:
                     continue
-                if not is_critical_edge(g, g.edge_id(r, s), budget):
+                gate = critical(r, s)
+                if gate is not None:
+                    if gate.status == V.UNKNOWN:
+                        return gate
                     continue
                 for x in range(n):
                     if x == r or x in nd[r]:
@@ -550,11 +534,6 @@ def check_theorem(name: str, g: SimpleGraph, budget: Optional[int] = None) -> V.
         if instances == 0:
             return V.inapplicable(name, "hypotheses never jointly satisfied")
         return V.passed(name, instances=instances)
-    # longk2 / main need edge-criticality of the whole graph
-    _, gate = _delta_critical_gate(name, g, budget)
-    if gate is not None:
-        return gate
-    prof = degree_profile(g)
     if name == "longk2":
         if not (2 * delta > n + 2):
             return V.inapplicable(name, "maximum degree not above n/2 + 1")
@@ -578,7 +557,7 @@ def check_conjecture(name: str, g: SimpleGraph, budget: Optional[int] = None) ->
     if name not in CONJECTURE_NAMES:
         raise ValueError(f"unknown conjecture check {name!r}")
     check = "conj-" + name
-    _, gate = _delta_critical_gate(check, g, budget)
+    gate = _hypothesis_gate(check, g, budget=budget, assume="critical-graph")
     if gate is not None:
         return gate
     prof = degree_profile(g)
@@ -609,7 +588,7 @@ def _reverify_class_two(g: SimpleGraph, budget: Optional[int]) -> bool:
     """Second solver pass over a reversed edge order; a FAIL on a
     conjecture check is trusted only when this agrees."""
     relabeled = SimpleGraph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges])
-    cv = chromatic_index(relabeled, budget)
+    cv = graph_facts(relabeled, budget).verdict
     return cv.status == "ok" and cv.cls == "two"
 
 
@@ -621,18 +600,12 @@ class ScanConfig:
     checks: tuple[str, ...] = GRAPH_CHECKS
     budget: Optional[int] = None          # solver node budget
     fan_budget: int = 2000                # reachability expansions / enum cap
-    max_colorings: int = 10               # colorings sampled per critical edge
-    enum_cap: int = 200                   # below this, use every coloring
-    witness_budget: int = 800             # tau-witness fallback search
 
     def to_json(self) -> dict:
         return {
             "checks": list(self.checks),
             "budget": self.budget,
             "fan_budget": self.fan_budget,
-            "max_colorings": self.max_colorings,
-            "enum_cap": self.enum_cap,
-            "witness_budget": self.witness_budget,
         }
 
 
@@ -680,6 +653,13 @@ def _max_fan_for(g, r, s1, cfg, space: ColoringSpace) -> MaxFanResult:
     )
 
 
+def _note(out: dict, names: Iterable[str], status: str, reason: str) -> None:
+    """Append one verdict of `status` (INAPPLICABLE or UNKNOWN) with
+    `reason` to each check in `names`."""
+    for c in names:
+        out[c].append(V.Verdict(c, status, {"reason": reason}))
+
+
 def run_lemma_suite(
     g: SimpleGraph, cfg: ScanConfig, checks: Sequence[str]
 ) -> dict[str, list[V.Verdict]]:
@@ -687,38 +667,30 @@ def run_lemma_suite(
     orientations, and a deterministic sample of colorings."""
     want = set(checks)
     out: dict[str, list[V.Verdict]] = {c: [] for c in want}
-    cv = chromatic_index(g, cfg.budget)
-    if cv.status != "ok":
-        for c in want:
-            out[c].append(V.unknown(c, "chromatic index undecided"))
+    gate = _hypothesis_gate("lemmas", g, budget=cfg.budget, assume="criticality")
+    if gate is not None:
+        _note(out, want, gate.status, gate.detail["reason"])
         return out
-    class_two = cv.cls == "two"
-    if not class_two:
-        for c in want:
-            out[c].append(V.inapplicable(c, "graph is class 1"))
-        return out
-    try:
-        crit = critical_edges(g, cfg.budget)
-    except BudgetExceeded:
-        for c in want:
-            out[c].append(V.unknown(c, "criticality undecided"))
-        return out
+    crit = graph_facts(g, cfg.budget).critical_edges()
     if not crit:
-        for c in want:
-            out[c].append(V.inapplicable(c, "no critical edges"))
+        _note(out, want, V.INAPPLICABLE, "no critical edges")
         return out
     prof = degree_profile(g)
     delta = prof.delta
+    max_checks = want & {"rs1-linkage", "tau-unique", "tau-witnesses", "pfan",
+                         "pfan-adjacency", "fan-missing-r"}
+    swap_checks = want & {"stable-swaps", "vf-stable-swaps"}
+    pfan_checks = want & {"pfan", "pfan-adjacency"}
     for e in crit:
         # one enumeration of G - e serves both orientations: the sample,
         # the maximum fans and the pseudo-fans; it is dropped with the edge
         space = ColoringSpace(g, e, delta)
         # every coloring when the space is small, else the first
-        # max_colorings in enumeration order
-        sample = space.prefix(cfg.enum_cap + 1)
+        # MAX_COLORINGS in enumeration order
+        sample = space.prefix(ENUM_CAP + 1)
         phis = sample.colorings
         if sample.truncated:
-            phis = phis[: cfg.max_colorings]
+            phis = phis[:MAX_COLORINGS]
         u, v = g.endpoints(e)
         for r, s1 in ((u, v), (v, u)):
             # the tau/shifting/pseudo-fan machinery lives at a light center
@@ -727,15 +699,12 @@ def run_lemma_suite(
                 r in light_vertices(g) and prof.degrees[s1] == delta - 1
             )
             maxres = None
-            max_checks = {"rs1-linkage", "tau-unique", "tau-witnesses", "pfan",
-                          "pfan-adjacency", "fan-missing-r"}
-            if want & max_checks:
+            if max_checks:
                 if typical_setting:
                     maxres = _max_fan_for(g, r, s1, cfg, space)
                 else:
-                    reason = "center is not light with a (Delta-1)-degree spoke"
-                    for c in want & max_checks:
-                        out[c].append(V.inapplicable(c, reason))
+                    _note(out, max_checks, V.INAPPLICABLE,
+                          "center is not light with a (Delta-1)-degree spoke")
             for phi in phis:
                 fan = grow_multifan(g, phi, r, s1)
                 if "fan-elementary" in want:
@@ -751,19 +720,12 @@ def run_lemma_suite(
                     out["kierstead"].append(
                         verify_kp_elementary(g, phi, kp, critical=True, class_two=True)
                     )
-                if want & {"stable-swaps", "vf-stable-swaps"}:
+                if swap_checks:
                     try:
                         norm = normalize_typical(g, phi, fan)
                     except FanError as exc:
-                        note = V.inapplicable(
-                            "stable-swaps", f"not normalizable: {exc}"
-                        )
-                        if "stable-swaps" in want:
-                            out["stable-swaps"].append(note)
-                        if "vf-stable-swaps" in want:
-                            out["vf-stable-swaps"].append(
-                                V.inapplicable("vf-stable-swaps", f"not normalizable: {exc}")
-                            )
+                        _note(out, swap_checks, V.INAPPLICABLE,
+                              f"not normalizable: {exc}")
                     else:
                         if "stable-swaps" in want:
                             out["stable-swaps"].append(
@@ -784,9 +746,8 @@ def run_lemma_suite(
                 nf = normalize_typical(g, mphi, mfan)
                 mphi, mfan = nf.phi, nf.fan
             except FanError as exc:
-                reason = f"maximum fan not normalizable: {exc}"
-                for c in want & max_checks:
-                    out[c].append(V.inapplicable(c, reason))
+                _note(out, max_checks, V.INAPPLICABLE,
+                      f"maximum fan not normalizable: {exc}")
                 continue
             if "rs1-linkage" in want:
                 out["rs1-linkage"].append(
@@ -798,42 +759,29 @@ def run_lemma_suite(
                 )
             if "tau-witnesses" in want:
                 out["tau-witnesses"].append(
-                    _check_tau_witnesses(g, mphi, mfan, maxres.status, cfg)
+                    _check_tau_witnesses(g, mphi, mfan, maxres.status)
                 )
-            if "pfan" in want or "pfan-adjacency" in want:
-                if prof.degrees[r] == delta:
-                    try:
-                        pf = grow_pfan(
-                            g, r, s1, budget=cfg.fan_budget // 10,
-                            fan_budget=cfg.fan_budget, space=space,
-                            exact=maxres if maxres.exact else None,
-                        )
-                    except FanError as exc:
-                        pf = None
-                        reason = f"pseudo-fan not constructible: {exc}"
-                    if pf is not None:
-                        if "pfan" in want:
-                            out["pfan"].append(
-                                verify_pfan_properties(g, pf, critical=True, class_two=True)
-                            )
-                        if "pfan-adjacency" in want:
-                            out["pfan-adjacency"].append(
-                                verify_pfan_adjacency(g, pf, critical=True, class_two=True)
-                            )
-                    else:
-                        if "pfan" in want:
-                            out["pfan"].append(V.inapplicable("pfan", reason))
-                        if "pfan-adjacency" in want:
-                            out["pfan-adjacency"].append(
-                                V.inapplicable("pfan-adjacency", reason)
-                            )
+            if pfan_checks and prof.degrees[r] != delta:
+                _note(out, pfan_checks, V.INAPPLICABLE,
+                      "center is not a max-degree vertex")
+            elif pfan_checks:
+                try:
+                    pf = grow_pfan(
+                        g, r, s1, budget=cfg.fan_budget // 10,
+                        fan_budget=cfg.fan_budget, space=space,
+                        exact=maxres if maxres.exact else None,
+                    )
+                except FanError as exc:
+                    _note(out, pfan_checks, V.INAPPLICABLE,
+                          f"pseudo-fan not constructible: {exc}")
                 else:
-                    reason = "center is not a max-degree vertex"
                     if "pfan" in want:
-                        out["pfan"].append(V.inapplicable("pfan", reason))
+                        out["pfan"].append(
+                            verify_pfan_properties(g, pf, critical=True, class_two=True)
+                        )
                     if "pfan-adjacency" in want:
                         out["pfan-adjacency"].append(
-                            V.inapplicable("pfan-adjacency", reason)
+                            verify_pfan_adjacency(g, pf, critical=True, class_two=True)
                         )
             if "fan-missing-r" in want:
                 out["fan-missing-r"].append(
@@ -878,7 +826,7 @@ def _check_tau_unique(g, phi, fan, status) -> V.Verdict:
     return V.passed(name, taus=taus)
 
 
-def _check_tau_witnesses(g, phi, fan, status, cfg) -> V.Verdict:
+def _check_tau_witnesses(g, phi, fan, status) -> V.Verdict:
     """Sweep every eligible (x, tau, item); WITNESS transcripts must replay
     and respect their avoidance sets; FAIL outcomes fail the check."""
     name = "tau-witnesses"
@@ -907,7 +855,7 @@ def _check_tau_witnesses(g, phi, fan, status, cfg) -> V.Verdict:
                 try:
                     res = witness_tau_item(
                         item, g, phi, fan, x, tau,
-                        search_budget=cfg.witness_budget,
+                        search_budget=WITNESS_BUDGET,
                         maximum_status=status,
                     )
                 except (TauError, FanError) as exc:
@@ -991,7 +939,7 @@ def run_graph_checks(
 
         meta["core_acyclic"] = is_core_acyclic(g)
         if len(g.edges) > 0 and g.n >= 2:
-            cv = chromatic_index(g, cfg.budget)
+            cv = graph_facts(g, cfg.budget).verdict
             meta["chi_prime"] = cv.chi_prime
             meta["class"] = cv.cls
             meta["overfull"] = is_overfull(g)

@@ -215,6 +215,29 @@ def test_fan_rejects_nonpositive_fan_budget():
     _assert_range_error(r, "--fan-budget")
 
 
+@pytest.mark.parametrize("args,flag", [
+    (("verify", "--bogus", C5), "--bogus"),
+    (("verify", "--budget", "abc", C5), "--budget"),
+    (("fan", "--edge", "zz", C5), "--edge"),
+    (("tau", "--edge", "0-x", C5), "--edge"),
+    # flags that did nothing on these commands are gone
+    (("verify", "--format", "json", C5), "--format"),
+    (("tau", "--edge", "0-1", "--budget", "5", C5), "--budget"),
+    (("classify", "--fan-budget", "5", C5), "--fan-budget"),
+])
+def test_usage_error_exits_3_with_one_line(args, flag):
+    _assert_range_error(run_cli(*args), flag)
+
+
+def test_exhausted_budget_exits_2_without_report_errors():
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
+    r = run_cli("verify", "--checks", "val,s1-adj", "--budget", "20", "--input", str(data))
+    assert r.returncode == 2
+    reports = [json.loads(line) for line in r.stdout.splitlines()]
+    assert len(reports) == 40
+    assert all(rep["error"] is None for rep in reports)
+
+
 def test_env_budget_respected():
     r = run_cli(
         "verify", "--checks", "parity", PET,

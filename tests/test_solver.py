@@ -106,6 +106,24 @@ def test_criticality_needs_class_two():
         is_critical_edge(cycle(4), 0)
 
 
+def test_delta_criticality_stops_at_first_noncritical_edge(monkeypatch):
+    # Ecto is class 2 and its edges 0-4 are critical, edge 5 is not
+    first = next(
+        e for e in range(8) if not is_critical_edge(from_graph6("Ecto"), e)
+    )
+    assert first == 5
+    calls = []
+    real = solver.chromatic_index
+
+    def counting(g, budget=None):
+        calls.append(g)
+        return real(g, budget)
+
+    monkeypatch.setattr(solver, "chromatic_index", counting)
+    assert not is_delta_critical(from_graph6("Ecto"))
+    assert len(calls) == first + 2  # G, then G - e for e = 0..first
+
+
 def test_disconnected_degenerate():
     # C5 plus an isolated vertex: class two with every edge critical, yet
     # not critical as a graph - dropping the isolated vertex is a proper

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanforge import fans, solver
+from fanforge import fans, graphs, solver
 from fanforge.graphs import (
     SimpleGraph,
     complete,
@@ -367,3 +368,56 @@ def test_relabeling_keeps_every_graph_level_status(fixture_lines, class_two_line
         return {name: [vd["status"] for vd in vs] for name, vs in rep.checks.items()}
 
     assert statuses(h) == statuses(g)
+
+
+CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
+WITHIN_BUDGET = (
+    "chromatic index undecided within budget",
+    "criticality undecided within budget",
+)
+
+
+@pytest.mark.parametrize("budget", [10, 20, 40])
+def test_exhausted_budget_is_a_verdict_never_a_report_error(budget):
+    # s1-adj and longk ask the criticality of single edges; an undecided
+    # chi'(G - e) there used to escape as BudgetExceeded and turn the
+    # whole report into an error
+    lines = CLASS2_N7.read_text().split()
+    cfg = ScanConfig(checks=normalize_checks("val,s1-adj,longk,main"), budget=budget)
+    reports, summary = scan_corpus(lines, cfg)
+    assert summary["errors"] == 0
+    edge_level = []
+    for line in reports:
+        rep = json.loads(line)
+        assert rep["error"] is None
+        for name, verdicts in rep["checks"].items():
+            for vd in verdicts:
+                if vd["status"] == "UNKNOWN":
+                    assert vd["detail"]["reason"] in WITHIN_BUDGET, (name, vd)
+                    if name in ("s1-adj", "longk"):
+                        edge_level.append(vd["detail"]["reason"])
+    assert "criticality undecided within budget" in edge_level
+
+
+def test_each_graph_fact_is_decided_once(monkeypatch):
+    # one report asks chi' and criticality from every check; each G - e is
+    # built once and a None budget is resolved once
+    built = []
+    resolved = []
+    real_delete, real_default = graphs.delete_edge, solver.node_budget_default
+
+    def counting_delete(g, e):
+        built.append(e)
+        return real_delete(g, e)
+
+    def counting_default():
+        resolved.append(1)
+        return real_default()
+
+    monkeypatch.setattr(graphs, "delete_edge", counting_delete)
+    monkeypatch.setattr(solver, "delete_edge", counting_delete, raising=False)
+    monkeypatch.setattr(solver, "node_budget_default", counting_default)
+    rep = run_graph_checks(0, "Feujg", ScanConfig(checks=normalize_checks("all")))
+    assert rep.error is None and rep.meta["class"] == "two"
+    assert built and len(built) == len(set(built))
+    assert len(resolved) == 1
