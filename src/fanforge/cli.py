@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
-from . import verdicts as V
 from .fans import (
     FanError,
-    grow_multifan,
     inducing_map,
     normalize_typical,
     search_maximum_multifan,

@@ -10,7 +10,7 @@ degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -63,9 +63,6 @@ class Multifan:
 
     def vertex_set(self) -> tuple[int, ...]:
         return (self.center,) + self.sequence
-
-    def spoke_edges(self, g: SimpleGraph) -> tuple[int, ...]:
-        return tuple(g.edge_id(self.center, s) for s in self.sequence)
 
     def size(self) -> int:
         return 1 + len(self.sequence)

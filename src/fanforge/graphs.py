@@ -254,15 +254,6 @@ def to_graph6(g: SimpleGraph) -> str:
     return "".join(out)
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterable[SimpleGraph]:
-    """Decode an iterable of graph6 lines, skipping blanks and headers."""
-    for line in lines:
-        s = line.strip()
-        if not s or s == _G6_HEADER:
-            continue
-        yield from_graph6(s)
-
-
 # -- degree/core queries --------------------------------------------------
 
 
@@ -392,10 +383,6 @@ def delete_edge(g: SimpleGraph, e: int) -> SimpleGraph:
     if not (0 <= e < len(g.edges)):
         raise ValueError(f"edge {e} out of range")
     return SimpleGraph(g.n, g.edges[:e] + g.edges[e + 1:])
-
-
-def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> SimpleGraph:
-    return SimpleGraph(n, edges)
 
 
 def from_adj_masks(masks: Sequence[int]) -> SimpleGraph:

@@ -30,7 +30,6 @@ from .fans import (
     FanError,
     Multifan,
     at_least_stable,
-    grow_multifan,
     inducing_map,
     stability_class,
 )

@@ -1,10 +1,17 @@
 """Exact chromatic index, criticality, overfullness, and coloring enumeration.
 
-The class decision tries k = Delta with exhaustive backtracking; on failure
-k = Delta + 1 always succeeds. Overfull graphs skip the k = Delta attempt:
-a color class is a matching of at most floor(n/2) edges, so |E| >
-Delta*floor(n/2) rules out Delta colors without any search. Everything is
-integer arithmetic; no verdict is ever probabilistic.
+The class decision tries k = Delta with exhaustive backtracking in a fixed
+edge order; on failure k = Delta + 1 always succeeds. That search also
+yields G's witness coloring (the one the parity check prints). Overfull
+graphs skip the k = Delta attempt: a color class is a matching of at most
+floor(n/2) edges, so |E| > Delta*floor(n/2) rules out Delta colors without
+any search.
+
+Edge criticality in a class-2 graph is a Delta-decision: e is critical
+exactly when G - e is Delta-colorable. Vizing's theorem or the overfull
+bound settles most edges; the rest go to an exact search in a dynamic
+(DSATUR) edge order, which keeps no witness. Everything is integer
+arithmetic; no verdict is ever probabilistic.
 """
 
 from __future__ import annotations
@@ -62,54 +69,135 @@ def _edge_order(g: SimpleGraph) -> list[int]:
     )
 
 
-def _search(
-    g: SimpleGraph,
-    k: int,
-    budget: int,
-    symmetry_break: bool = True,
-) -> tuple[Optional[list[int]], int]:
-    """Backtracking search for a proper k-edge-coloring.
+def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
+    """Backtracking search for a proper k-edge-coloring, in `_edge_order`.
 
-    Returns (assignment 1-based per edge or None, nodes used). Raises
-    BudgetExceeded when the node budget runs out undecided. With
-    symmetry_break, a fresh color may only be introduced in first-use
+    Returns (assignment 1-based per edge or None, nodes used), a node
+    being one color placed. Raises BudgetExceeded when the node budget
+    runs out undecided. A fresh color may only be introduced in first-use
     order along the fixed edge sequence; sound for both directions of the
-    decision since color classes are interchangeable.
+    decision since color classes are interchangeable. Backtracks over an
+    explicit stack, so the number of edges is not limited by the
+    recursion limit.
     """
     m = len(g.edges)
     order = _edge_order(g)
-    full = (1 << k) - 1
-    missing = [full] * g.n
+    ends = [g.edges[e] for e in order]
+    missing = [(1 << k) - 1] * g.n
     colors = [0] * m
+    if m == 0:
+        return colors, 0
+    # avail[pos]: colors still to try at order[pos]; chosen[pos]: its
+    # current color bit; used[pos]: the colors placed before pos, always
+    # 1..j by the first-use rule, so (used << 1) | 1 admits one fresh color
+    avail = [0] * m
+    chosen = [0] * m
+    used = [0] * m
     nodes = 0
+    u, v = ends[0]
+    avail[0] = missing[u] & missing[v] & 1
+    pos = 0
+    while True:
+        u, v = ends[pos]
+        bit = chosen[pos]
+        if bit:
+            missing[u] ^= bit
+            missing[v] ^= bit
+        a = avail[pos]
+        if not a:
+            if pos == 0:
+                return None, nodes
+            chosen[pos] = 0
+            pos -= 1
+            continue
+        bit = a & -a
+        avail[pos] = a ^ bit
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded
+        chosen[pos] = bit
+        missing[u] ^= bit
+        missing[v] ^= bit
+        colors[order[pos]] = bit.bit_length()
+        if pos + 1 == m:
+            return colors, nodes
+        pos += 1
+        cap = used[pos] = used[pos - 1] | bit
+        u, v = ends[pos]
+        avail[pos] = missing[u] & missing[v] & ((cap << 1) | 1)
 
-    def rec(pos: int, used: int) -> bool:
-        nonlocal nodes
-        if pos == m:
-            return True
-        e = order[pos]
-        u, v = g.edges[e]
-        avail = missing[u] & missing[v]
-        if symmetry_break:
-            cap = (used << 1) | 1  # colors 1..(highest used + 1)
-            avail &= cap
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded
-            missing[u] ^= low
-            missing[v] ^= low
-            colors[e] = low.bit_length()
-            if rec(pos + 1, used | low):
-                return True
-            missing[u] ^= low
-            missing[v] ^= low
-        return False
 
-    ok = rec(0, 0)
-    return (colors if ok else None), nodes
+def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[bool, int]:
+    """Whether G has a proper k-edge-coloring, by a dynamic-order search.
+
+    Returns (answer, nodes used), a node being one color placed; raises
+    BudgetExceeded when the node budget runs out undecided. Each step
+    colors the uncolored edge with the fewest colors free at both ends
+    (DSATUR on the line graph, Brelaz 1979), ties going to the larger
+    d(u) + d(v), then the lower edge id. The first-use symmetry break of
+    `_search` stays sound under a dynamic order: the colors not placed
+    yet are interchangeable at every node. No witness is kept.
+    """
+    m = len(g.edges)
+    if m == 0:
+        return True, 0
+    # positions into ends are the tie-break order, so a scan of the
+    # uncolored list in list order keeps the first of equally free edges
+    ends = [g.edges[e] for e in _edge_order(g)]
+    missing = [(1 << k) - 1] * g.n
+    uncolored = list(range(m))
+    # per depth: the slot of its edge in `uncolored` (to put it back on
+    # backtracking), the edge's position, the colors still to try, the
+    # color placed, and the colors placed above it (1..j, first-use rule)
+    slot = [0] * m
+    at = [0] * m
+    avail = [0] * m
+    chosen = [0] * m
+    used = [0] * m
+    nodes = 0
+    depth = 0
+    cap = 0
+    while True:
+        # select the edge of this depth
+        best = k + 1
+        j = 0
+        for i, q in enumerate(uncolored):
+            u, v = ends[q]
+            free = (missing[u] & missing[v]).bit_count()
+            if free < best:
+                best, j = free, i
+                if not free:
+                    break
+        q = uncolored.pop(j)
+        slot[depth], at[depth], used[depth], chosen[depth] = j, q, cap, 0
+        u, v = ends[q]
+        avail[depth] = missing[u] & missing[v] & ((cap << 1) | 1)
+        # try its colors, backtracking to shallower depths when they run out
+        while True:
+            u, v = ends[at[depth]]
+            bit = chosen[depth]
+            if bit:
+                missing[u] ^= bit
+                missing[v] ^= bit
+            a = avail[depth]
+            if a:
+                break
+            uncolored.insert(slot[depth], at[depth])
+            if depth == 0:
+                return False, nodes
+            depth -= 1
+        bit = a & -a
+        avail[depth] = a ^ bit
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("colorability undecided")
+        chosen[depth] = bit
+        missing[u] ^= bit
+        missing[v] ^= bit
+        if not uncolored:
+            return True, nodes
+        cap = used[depth] | bit
+        depth += 1
 
 
 _CHI_CACHE: dict = {}
@@ -142,8 +230,8 @@ def chromatic_index(
 
 def _chromatic_index_uncached(g: SimpleGraph, budget: int) -> ClassVerdict:
     # Delta is read off the degrees here and in is_overfull rather than
-    # from the memoized degree_profile: _CHI_CACHE keeps its graphs (most
-    # of them G - e copies) alive, and a profile on each would grow it.
+    # from the memoized degree_profile: _CHI_CACHE keeps its graphs alive,
+    # and a profile on each would grow it.
     delta = max(g.degrees())
     nodes_total = 0
 
@@ -172,8 +260,8 @@ class GraphFacts:
     decided once.
 
     `verdict` is G's ClassVerdict. The criticality questions assume G is
-    class 2, raise BudgetExceeded when a chi' they rest on is undecided
-    within the budget, and memoize their answer per edge.
+    class 2, raise BudgetExceeded when G's chi' or a G - e decision is
+    undecided within the budget, and memoize their answer per edge.
     """
 
     __slots__ = ("graph", "budget", "verdict", "_nodes", "_critical")
@@ -186,7 +274,8 @@ class GraphFacts:
         self._critical: dict[int, bool] = {}
 
     def edge_critical(self, e: int) -> bool:
-        """chi'(G - e) < chi'(G). The one place that builds G - e."""
+        """chi'(G - e) < chi'(G); for class-2 G, whether G - e is
+        Delta-colorable."""
         base = self.verdict
         if base.status != "ok":
             raise BudgetExceeded("base chromatic index undecided")
@@ -194,12 +283,19 @@ class GraphFacts:
             raise ValueError("criticality asked on a class-1 graph")
         known = self._critical
         if e not in known:
-            # class 2 needs m >= 3, so G - e keeps an edge
-            after = chromatic_index(delete_edge(self.graph, e), self._nodes)
-            if after.status != "ok":
-                raise BudgetExceeded("deletion chromatic index undecided")
-            known[e] = after.chi_prime < base.chi_prime
+            known[e] = self._deletion_colorable(e)
         return known[e]
+
+    def _deletion_colorable(self, e: int) -> bool:
+        """Is G - e Delta(G)-colorable? The one place that builds G - e."""
+        g = self.graph
+        prof = degree_profile(g)
+        ends = g.edges[e]
+        if all(v in ends for v in prof.delta_vertices):
+            return True  # Delta(G - e) < Delta: Vizing's theorem colors it
+        if len(g.edges) - 1 > prof.delta * (g.n // 2):
+            return False  # G - e is overfull for Delta colors
+        return _colorable(delete_edge(g, e), prof.delta, self._nodes)[0]
 
     def critical_edges(self) -> list[int]:
         """Edge ids whose deletion lowers chi'. Empty for class-1 input."""

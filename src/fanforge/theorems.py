@@ -44,11 +44,9 @@ from .recolor import (
     MaximalityViolation,
     TauError,
     WITNESS_ITEMS,
-    apply_shifting,
     build_tau_sequence,
     fan_missing_union,
     is_avoiding,
-    shifting_kind,
     tau_sequence_by_definition,
     verify_rs1_linkage,
     witness_avoid_set,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fanforge.graphs import complete, cycle, delete_vertex, petersen, to_graph6
+from fanforge.graphs import complete, cycle, delete_vertex, path, petersen, to_graph6
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -236,6 +236,21 @@ def test_exhausted_budget_exits_2_without_report_errors():
     reports = [json.loads(line) for line in r.stdout.splitlines()]
     assert len(reports) == 40
     assert all(rep["error"] is None for rep in reports)
+
+
+def test_verify_k11_finishes_with_every_edge_noncritical():
+    r = run_cli("verify", "--checks", "val,longk2,main,conj-overfull", to_graph6(complete(11)))
+    assert r.returncode == 0
+    (rep,) = [json.loads(line) for line in r.stdout.splitlines()]
+    assert rep["checks"]["val"] == [
+        {"check": "val", "status": "PASS", "detail": {"checked": 0, "critical_edges": 0}}
+    ]
+
+
+def test_classify_deep_path():
+    r = run_cli("classify", to_graph6(path(1201)))
+    assert r.returncode == 0, r.stderr[-500:]
+    assert json.loads(r.stdout)["chi_prime"] == 2
 
 
 def test_env_budget_respected():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from fanforge.graphs import (
     from_graph6,
     path,
     petersen,
+    to_graph6,
 )
 from fanforge.solver import (
     ColoringSpace,
@@ -112,16 +115,117 @@ def test_delta_criticality_stops_at_first_noncritical_edge(monkeypatch):
         e for e in range(8) if not is_critical_edge(from_graph6("Ecto"), e)
     )
     assert first == 5
-    calls = []
-    real = solver.chromatic_index
+    chi_calls = []
+    decided = []
+    real_chi = solver.chromatic_index
+    real_decide = solver.GraphFacts._deletion_colorable
 
-    def counting(g, budget=None):
-        calls.append(g)
-        return real(g, budget)
+    def counting_chi(g, budget=None):
+        chi_calls.append(g)
+        return real_chi(g, budget)
 
-    monkeypatch.setattr(solver, "chromatic_index", counting)
+    def counting_decide(facts, e):
+        decided.append(e)
+        return real_decide(facts, e)
+
+    monkeypatch.setattr(solver, "chromatic_index", counting_chi)
+    monkeypatch.setattr(solver.GraphFacts, "_deletion_colorable", counting_decide)
     assert not is_delta_critical(from_graph6("Ecto"))
-    assert len(calls) == first + 2  # G, then G - e for e = 0..first
+    assert len(chi_calls) == 1  # G only; each G - e is a Delta-decision
+    assert decided == list(range(first + 1))  # G - e for e = 0..first
+
+
+@pytest.mark.parametrize(
+    "g,nodes",
+    [
+        (cycle(5), 5),
+        (complete(4), 6),
+        (complete(5), 23),
+        (complete(8), 28),
+        (petersen(), 54),
+        (delete_vertex(petersen(), 0), 74),
+        (from_graph6("Ecto"), 14),
+        (from_graph6("Funjw"), 16),
+        (path(40), 39),
+    ],
+)
+def test_chromatic_index_node_counts_are_pinned(g, nodes):
+    # the fixed-order search walks the nodes it walked as a recursion
+    assert chromatic_index(g).nodes == nodes
+
+
+def test_chromatic_index_witnesses_are_pinned():
+    # the witness is the first coloring in the fixed order; parity prints it
+    assert chromatic_index(petersen()).witness.to_line() == (
+        "4; 0=1,1=2,2=3,3=2,4=3,5=1,6=3,7=3,8=2,9=1,10=1,11=4,12=1,13=2,14=4"
+    )
+    assert chromatic_index(delete_vertex(petersen(), 0)).witness.to_line() == (
+        "4; 0=3,1=1,2=2,3=2,4=4,5=1,6=3,7=4,8=2,9=1,10=4,11=3"
+    )
+
+
+def test_searches_on_a_deep_path_have_no_recursion_limit():
+    g = path(1201)
+    cv = chromatic_index(g)
+    assert (cv.chi_prime, cv.cls) == (2, "one")
+    assert cv.witness.validate()
+    assert solver._colorable(g, 2, 10**6) == (True, 1200)
+    assert solver._colorable(g, 1, 10**6)[0] is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_colorable_agrees_with_reference(data):
+    n = data.draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+    g = SimpleGraph(n, edges)
+    delta = max(g.degrees())
+    for k in (delta - 1, delta, delta + 1):
+        ok, nodes = solver._colorable(g, k, 10**8)
+        assert ok == colorable_reference(g.n, list(g.edges), k), k
+        assert nodes >= (len(g.edges) if ok else 0)
+
+
+def test_colorable_raises_when_the_budget_runs_out():
+    with pytest.raises(solver.BudgetExceeded):
+        solver._colorable(petersen(), 3, 5)
+
+
+CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
+
+
+def deletion_lowers_chi(g, e):
+    """Criticality by its definition: chi'(G - e) < chi'(G)."""
+    return chromatic_index(delete_edge(g, e)).chi_prime < chromatic_index(g).chi_prime
+
+
+def test_edge_criticality_is_the_deletion_definition_on_the_class_two_corpus():
+    lines = CLASS2_N7.read_text().split()
+    assert len(lines) == 40
+    for line in lines:
+        g = from_graph6(line)
+        facts = solver.GraphFacts(g, None)
+        got = [facts.edge_critical(e) for e in range(g.m())]
+        assert got == [deletion_lowers_chi(g, e) for e in range(g.m())], line
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_edge_criticality_is_the_deletion_definition_on_random_class_two_graphs(data):
+    # a relabeled corpus graph beside a random graph on at most 3 more
+    # vertices: max degree at most 2 there, so the union stays class 2
+    base = from_graph6(data.draw(st.sampled_from(CLASS2_N7.read_text().split())))
+    extra = data.draw(st.integers(0, 3))
+    n = base.n + extra
+    perm = data.draw(st.permutations(range(n)))
+    pairs = [(u, v) for u in range(base.n, n) for v in range(u + 1, n)]
+    more = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = SimpleGraph(n, [(perm[u], perm[v]) for u, v in list(base.edges) + more])
+    facts = solver.GraphFacts(g, None)
+    assert facts.verdict.cls == "two"
+    for e in range(g.m()):
+        assert facts.edge_critical(e) == deletion_lowers_chi(g, e), (to_graph6(g), e)
 
 
 def test_disconnected_degenerate():

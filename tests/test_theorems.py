@@ -386,7 +386,6 @@ def test_exhausted_budget_is_a_verdict_never_a_report_error(budget):
     cfg = ScanConfig(checks=normalize_checks("val,s1-adj,longk,main"), budget=budget)
     reports, summary = scan_corpus(lines, cfg)
     assert summary["errors"] == 0
-    edge_level = []
     for line in reports:
         rep = json.loads(line)
         assert rep["error"] is None
@@ -394,9 +393,36 @@ def test_exhausted_budget_is_a_verdict_never_a_report_error(budget):
             for vd in verdicts:
                 if vd["status"] == "UNKNOWN":
                     assert vd["detail"]["reason"] in WITHIN_BUDGET, (name, vd)
-                    if name in ("s1-adj", "longk"):
-                        edge_level.append(vd["detail"]["reason"])
-    assert "criticality undecided within budget" in edge_level
+
+
+@pytest.mark.parametrize("line,budget", [("FBnn_", 13), ("Funjw", 16)])
+def test_undecided_edge_criticality_is_an_edge_level_verdict(line, budget):
+    # found by a search over class2_n7.g6 and budgets: chi'(G) is decided
+    # within the budget, but the Delta-decision of some G - e that s1-adj
+    # and longk ask is not, so both read UNKNOWN at the edge level
+    assert solver.chromatic_index(from_graph6(line), budget).status == "ok"
+    cfg = ScanConfig(checks=normalize_checks("val,s1-adj,longk,main"), budget=budget)
+    reports, summary = scan_corpus([line], cfg)
+    assert summary["errors"] == 0
+    rep = json.loads(reports[0])
+    assert rep["error"] is None
+    for name in ("s1-adj", "longk"):
+        (vd,) = rep["checks"][name]
+        assert vd["status"] == "UNKNOWN"
+        assert vd["detail"]["reason"] == "criticality undecided within budget"
+
+
+def test_k11_criticality_is_decided_without_search(monkeypatch):
+    # K11 is overfull and so is every K11 - e for Delta = 10 colors: the
+    # overfull bound decides each edge, and no G - e is searched
+    searched = []
+    monkeypatch.setattr(solver, "_colorable", lambda *args: searched.append(args))
+    cfg = ScanConfig(checks=normalize_checks("val,longk2,main,conj-overfull"))
+    rep = run_graph_checks(0, to_graph6(complete(11)), cfg)
+    assert rep.error is None and rep.meta["class"] == "two"
+    (val,) = rep.checks["val"]
+    assert val["status"] == "PASS" and val["detail"]["critical_edges"] == 0
+    assert searched == []
 
 
 def test_each_graph_fact_is_decided_once(monkeypatch):
