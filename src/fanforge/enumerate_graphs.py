@@ -3,10 +3,19 @@
 Graphs are handled as tuples of adjacency bitmasks. Each isomorphism class
 gets an exact integer certificate: the lexicographically smallest packed
 upper triangle over the leaves of an individualization/refinement tree.
+The same search yields generators of the automorphism group: leaves with
+equal packed adjacency, and transpositions of interchangeable twins.
+
 Connected graphs on n vertices are produced by augmenting the connected
 graphs on n-1 vertices with one new vertex joined to every nonempty subset
 (every connected graph has a non-cut vertex, so each class is reached) and
-deduplicating by certificate.
+deduplicating by certificate. Subsets in one orbit of the parent's
+automorphism group give isomorphic children, so only the least subset of
+each orbit is built (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998, uses these orbits too). This pruning works parent
+by parent, so `augment_level` returns the same list as the unpruned loop
+for any parent list, a complete level or any part of one; the canonical
+deletion rule of the same paper would need a complete level.
 
 Used to build the graph6 fixture corpora where no external generator is
 available; counts are cross-checked against the published sequence
@@ -24,19 +33,25 @@ CONNECTED_COUNTS = {
 Masks = tuple[int, ...]
 
 
-def _refine(n: int, adj: Sequence[int], colors: list[int]) -> tuple[list[int], int]:
+def _refine(n: int, nbrs: Sequence[Sequence[int]], colors: list[int]) -> tuple[list[int], int]:
     """Equitable refinement; returns (colors, class count). Invariant under
-    relabeling because classes are ranked by sorted signatures."""
+    relabeling because classes are ranked by sorted signatures.
+
+    A vertex's signature is one int: its color + 1, then its neighbor
+    count in each class, `n.bit_length()` bits per count, so a signature
+    is the sum of one weight per neighbor. Every signature of a round has
+    the same fields, so int order is the order of the tuples
+    (color, count, ...)."""
+    width = n.bit_length()
     ncls = len(set(colors))
     while True:
-        buckets: dict[int, int] = {}
-        for v in range(n):
-            c = colors[v]
-            buckets[c] = buckets.get(c, 0) | (1 << v)
-        cms = [buckets[c] for c in sorted(buckets)]
+        # colors run over -1..max(colors): one count field per color
+        top = max(colors) + 1
+        weight = [1 << (width * (top - 1 - c)) for c in colors]
+        color_shift = width * (top + 1)
         sigs = [
-            (colors[v],) + tuple((adj[v] & cm).bit_count() for cm in cms)
-            for v in range(n)
+            ((c + 1) << color_shift) + sum(map(weight.__getitem__, nb))
+            for c, nb in zip(colors, nbrs)
         ]
         uniq = sorted(set(sigs))
         rank = {s: i for i, s in enumerate(uniq)}
@@ -46,10 +61,8 @@ def _refine(n: int, adj: Sequence[int], colors: list[int]) -> tuple[list[int], i
         ncls = len(uniq)
 
 
-def _leaf_cert(n: int, adj: Sequence[int], colors: Sequence[int]) -> int:
-    pos = [0] * n
-    for v, c in enumerate(colors):
-        pos[c] = v
+def _leaf_cert(n: int, adj: Sequence[int], pos: Sequence[int]) -> int:
+    """Packed upper triangle of the relabeling that puts pos[i] at i."""
     cert = 0
     for i in range(n):
         ai = adj[pos[i]]
@@ -76,47 +89,84 @@ def _interchangeable(n: int, adj: Sequence[int], members: list[int], cm: int) ->
     return internal_empty or internal_full
 
 
+def _search(adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """Individualization/refinement search: the certificate (least leaf)
+    and generators of Aut(G), each a tuple perm with perm[v] the image
+    of v.
+
+    Two leaves with equal packed adjacency give the automorphism that
+    maps one onto the other; every leaf equal to the best one so far
+    gives one. A class whose transpositions are all automorphisms
+    (`_interchangeable`) is branched on its first member only, and each
+    transposition of that member with another is a generator. Together
+    they generate all of Aut(G): any automorphism composed with such
+    transpositions maps the best leaf to a leaf of the pruned tree.
+    """
+    n = len(adj)
+    if n <= 1:
+        return 0, []
+    nbrs = [[w for w in range(n) if (a >> w) & 1] for a in adj]
+    best: Optional[int] = None
+    best_pos: list[int] = []
+    gens: dict[tuple[int, ...], None] = {}
+
+    def rec(colors: list[int], ncls: int):
+        nonlocal best, best_pos
+        if ncls == n:
+            pos = [0] * n
+            for v, c in enumerate(colors):
+                pos[c] = v
+            cert = _leaf_cert(n, adj, pos)
+            if best is None or cert < best:
+                best, best_pos = cert, pos
+            elif cert == best:
+                perm = [0] * n
+                for i in range(n):
+                    perm[best_pos[i]] = pos[i]
+                gens[tuple(perm)] = None
+            return
+        # first class (lowest color) with more than one member
+        cells: list[list[int]] = [[] for _ in range(ncls)]
+        for v in range(n):
+            cells[colors[v]].append(v)
+        members = next(cell for cell in cells if len(cell) > 1)
+        cm = 0
+        for v in members:
+            cm |= 1 << v
+        if _interchangeable(n, adj, members, cm):
+            first = members[0]
+            for v in members[1:]:
+                perm = list(range(n))
+                perm[first], perm[v] = v, first
+                gens[tuple(perm)] = None
+            cand = members[:1]
+        else:
+            cand = members
+        for v in cand:
+            nxt = colors.copy()
+            nxt[v] = -1
+            nxt, k2 = _refine(n, nbrs, nxt)
+            rec(nxt, k2)
+
+    colors, ncls = _refine(n, nbrs, [0] * n)
+    rec(colors, ncls)
+    assert best is not None
+    return best, list(gens)
+
+
 def canonical_cert(adj: Sequence[int]) -> int:
     """Exact isomorphism certificate for a graph given as adjacency masks.
 
     Equal certificates (for equal n) hold exactly for isomorphic graphs:
     the certificate is the packed adjacency of a canonical relabeling.
     """
-    n = len(adj)
-    if n <= 1:
-        return 0
-    best: Optional[int] = None
+    return _search(adj)[0]
 
-    def rec(colors: list[int], ncls: int):
-        nonlocal best
-        if ncls == n:
-            cert = _leaf_cert(n, adj, colors)
-            if best is None or cert < best:
-                best = cert
-            return
-        # first class (lowest color) with more than one member
-        target = None
-        for c in range(ncls):
-            members = [v for v in range(n) if colors[v] == c]
-            if len(members) > 1:
-                target = (c, members)
-                break
-        assert target is not None
-        c, members = target
-        cm = 0
-        for v in members:
-            cm |= 1 << v
-        cand = members[:1] if _interchangeable(n, adj, members, cm) else members
-        for v in cand:
-            nxt = colors.copy()
-            nxt[v] = -1
-            nxt, k2 = _refine(n, adj, nxt)
-            rec(nxt, k2)
 
-    colors, ncls = _refine(n, adj, [0] * n)
-    rec(colors, ncls)
-    assert best is not None
-    return best
+def automorphism_generators(adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group (perm[v] is the image of v);
+    empty when the group is trivial."""
+    return _search(adj)[1]
 
 
 def canonical_form(adj: Sequence[int]) -> Masks:
@@ -134,14 +184,61 @@ def canonical_form(adj: Sequence[int]) -> Masks:
     return tuple(out)
 
 
-def _augment(parent: Masks, subset: int) -> Masks:
+def _child_rows(parent: Masks, lo_bits: int) -> tuple[list[Masks], list[Masks]]:
+    """Lookup tables of the parent's rows once the new vertex is joined to
+    a subset s: the child of s is lo[s & (2**lo_bits - 1)] +
+    hi[s >> lo_bits] + (s,)."""
     n = len(parent)
-    child = [
-        m | (1 << n) if (subset >> i) & 1 else m
-        for i, m in enumerate(parent)
-    ]
-    child.append(subset)
-    return tuple(child)
+    new_bit = 1 << n
+    tables = []
+    for first, count in ((0, lo_bits), (lo_bits, n - lo_bits)):
+        rows = parent[first:first + count]
+        tables.append([
+            tuple(m | new_bit if (s >> i) & 1 else m for i, m in enumerate(rows))
+            for s in range(1 << count)
+        ])
+    return tables[0], tables[1]
+
+
+def _subset_images(perm: Sequence[int], lo_bits: int) -> tuple[list[int], list[int]]:
+    """Lookup tables of the image of a vertex subset under perm: the image
+    of s is lo[s & (2**lo_bits - 1)] | hi[s >> lo_bits]."""
+    n = len(perm)
+    tables = []
+    for first, count in ((0, lo_bits), (lo_bits, n - lo_bits)):
+        table = [0] * (1 << count)
+        for s in range(1, 1 << count):
+            low = s & -s
+            table[s] = table[s ^ low] | (1 << perm[first + low.bit_length() - 1])
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _orbit_minima(n: int, gens: Sequence[Sequence[int]]) -> Iterable[int]:
+    """The nonempty subsets of n vertices that are least in their orbit
+    under the group the permutations generate, ascending."""
+    if not gens:
+        return range(1, 1 << n)
+    lo_bits = n // 2
+    lo_mask = (1 << lo_bits) - 1
+    tables = [_subset_images(p, lo_bits) for p in gens]
+    seen = bytearray(1 << n)
+    out = []
+    for s in range(1, 1 << n):
+        if seen[s]:
+            continue
+        out.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            tl, th = t & lo_mask, t >> lo_bits
+            for lo, hi in tables:
+                u = lo[tl] | hi[th]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return out
 
 
 def augment_level(
@@ -151,15 +248,25 @@ def augment_level(
     """All connected (n+1)-vertex graphs from connected n-vertex parents,
     one representative per isomorphism class, deterministic order.
 
+    The result is every child of the given parents, whether or not they
+    form a complete level: the first child met per class, parents in the
+    given order and subsets ascending, listed by certificate.
+
     `keep` is an optional pre-certificate filter; when given, only children
     satisfying it are certified and returned (used to restrict expensive
-    scans to candidates that can matter).
+    scans to candidates that can matter). It must be
+    isomorphism-invariant: subsets in one orbit of the parent's
+    automorphism group give isomorphic children, and only the least
+    subset of each orbit is built, tested and certified.
     """
     seen: dict[int, Masks] = {}
     for parent in parents:
         np1 = len(parent)
-        for subset in range(1, 1 << np1):
-            child = _augment(parent, subset)
+        lo_bits = np1 // 2
+        lo_mask = (1 << lo_bits) - 1
+        lo_rows, hi_rows = _child_rows(parent, lo_bits)
+        for subset in _orbit_minima(np1, automorphism_generators(parent)):
+            child = lo_rows[subset & lo_mask] + hi_rows[subset >> lo_bits] + (subset,)
             if keep is not None and not keep(child):
                 continue
             cert = canonical_cert(child)

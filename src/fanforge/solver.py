@@ -261,7 +261,9 @@ class GraphFacts:
 
     `verdict` is G's ClassVerdict. The criticality questions assume G is
     class 2, raise BudgetExceeded when G's chi' or a G - e decision is
-    undecided within the budget, and memoize their answer per edge.
+    undecided within the budget, and memoize their answer per edge; an
+    edge whose search ran out of budget is memoized as undecided (None)
+    and raises again without a second search.
     """
 
     __slots__ = ("graph", "budget", "verdict", "_nodes", "_critical")
@@ -271,7 +273,7 @@ class GraphFacts:
         self.budget = budget  # as asked: the memo key of graph_facts
         self._nodes = node_budget_default() if budget is None else budget
         self.verdict = chromatic_index(g, self._nodes)
-        self._critical: dict[int, bool] = {}
+        self._critical: dict[int, Optional[bool]] = {}
 
     def edge_critical(self, e: int) -> bool:
         """chi'(G - e) < chi'(G); for class-2 G, whether G - e is
@@ -283,7 +285,13 @@ class GraphFacts:
             raise ValueError("criticality asked on a class-1 graph")
         known = self._critical
         if e not in known:
-            known[e] = self._deletion_colorable(e)
+            try:
+                known[e] = self._deletion_colorable(e)
+            except BudgetExceeded:
+                known[e] = None
+                raise
+        if known[e] is None:
+            raise BudgetExceeded("colorability undecided")
         return known[e]
 
     def _deletion_colorable(self, e: int) -> bool:

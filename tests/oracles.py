@@ -4,10 +4,14 @@ These deliberately avoid the package's code paths: the graph6 decoder
 works over an explicit bit string, the coloring counter and the
 coloring lister are plain recursive enumerators over sets, and the chromatic-index reference decides
 colorability without ordering heuristics, symmetry breaking, or
-overfullness shortcuts.
+overfullness shortcuts. The enumerator references are the unpruned
+augmentation loop over a certificate with tuple refinement signatures,
+and an automorphism counter that extends partial maps vertex by vertex.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable, Optional, Sequence
 
 
 def decode_graph6_reference(text: str) -> tuple[int, set[frozenset[int]]]:
@@ -150,3 +154,113 @@ def chromatic_index_reference(n: int, edges: list[tuple[int, int]]) -> int:
         if colorable_reference(n, edges, k):
             return k
         k += 1
+
+
+def refine_reference(n: int, adj: Sequence[int], colors: list[int]) -> tuple[list[int], int]:
+    """Equitable refinement ranking each vertex by the tuple (color,
+    neighbor count in each class in color order), until no class splits;
+    returns (colors, class count)."""
+    ncls = len(set(colors))
+    while True:
+        buckets: dict[int, int] = {}
+        for v in range(n):
+            c = colors[v]
+            buckets[c] = buckets.get(c, 0) | (1 << v)
+        cms = [buckets[c] for c in sorted(buckets)]
+        sigs = [
+            (colors[v],) + tuple((adj[v] & cm).bit_count() for cm in cms)
+            for v in range(n)
+        ]
+        uniq = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(uniq)}
+        colors = [rank[s] for s in sigs]
+        if len(uniq) == ncls:
+            return colors, ncls
+        ncls = len(uniq)
+
+
+def canonical_cert_reference(adj: Sequence[int]) -> int:
+    """The individualization/refinement certificate with signatures kept
+    as tuples (color, neighbor count per class, ...): the least packed
+    upper triangle over all leaves, twin classes branched on their first
+    member only."""
+    n = len(adj)
+    if n <= 1:
+        return 0
+    leaves: list[int] = []
+
+    def rec(colors: list[int], ncls: int) -> None:
+        if ncls == n:
+            pos = [0] * n
+            for v, c in enumerate(colors):
+                pos[c] = v
+            cert = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    cert = (cert << 1) | ((adj[pos[i]] >> pos[j]) & 1)
+            leaves.append(cert)
+            return
+        members = next(
+            cell
+            for cell in ([v for v in range(n) if colors[v] == c] for c in range(ncls))
+            if len(cell) > 1
+        )
+        cm = sum(1 << v for v in members)
+        outside = {adj[v] & ~cm for v in members}
+        inside = {adj[v] & cm for v in members}
+        twins = len(outside) == 1 and (
+            inside == {0} or all(adj[v] & cm == cm & ~(1 << v) for v in members)
+        )
+        for v in members[:1] if twins else members:
+            nxt = colors.copy()
+            nxt[v] = -1
+            rec(*refine_reference(n, adj, nxt))
+
+    rec(*refine_reference(n, adj, [0] * n))
+    return min(leaves)
+
+
+def augment_level_reference(
+    parents: Iterable[tuple[int, ...]],
+    keep: Optional[Callable[[tuple[int, ...]], bool]] = None,
+) -> list[tuple[int, ...]]:
+    """Every nonempty subset of every parent, in order: the first child
+    per certificate, listed by certificate."""
+    seen: dict[int, tuple[int, ...]] = {}
+    for parent in parents:
+        np1 = len(parent)
+        for subset in range(1, 1 << np1):
+            child = tuple(
+                m | (1 << np1) if (subset >> i) & 1 else m
+                for i, m in enumerate(parent)
+            ) + (subset,)
+            if keep is not None and not keep(child):
+                continue
+            cert = canonical_cert_reference(child)
+            if cert not in seen:
+                seen[cert] = child
+    return [seen[c] for c in sorted(seen)]
+
+
+def automorphism_count_reference(adj: Sequence[int]) -> int:
+    """|Aut(G)| by extending partial maps vertex by vertex, keeping degree
+    and adjacency to every vertex mapped so far."""
+    n = len(adj)
+    deg = [m.bit_count() for m in adj]
+    image = [0] * n
+
+    def rec(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        total = 0
+        for w in range(n):
+            if (used >> w) & 1 or deg[w] != deg[v]:
+                continue
+            if all(
+                ((adj[v] >> u) & 1) == ((adj[w] >> image[u]) & 1) for u in range(v)
+            ):
+                image[v] = w
+                total += rec(v + 1, used | (1 << w))
+        return total
+
+    return rec(0, 0)

@@ -1,17 +1,31 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanforge import enumerate_graphs
 from fanforge.enumerate_graphs import (
     CONNECTED_COUNTS,
     augment_level,
+    automorphism_generators,
     canonical_cert,
     canonical_form,
     connected_graph6_upto,
     connected_graphs,
+    delta_critical_candidate,
 )
 from fanforge.graphs import from_adj_masks, from_graph6
+from fanforge.solver import is_delta_critical
+from oracles import (
+    refine_reference,
+    augment_level_reference,
+    automorphism_count_reference,
+    canonical_cert_reference,
+)
+
+CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
 
 
 def masks_from_edges(n, edges):
@@ -133,3 +147,135 @@ def test_fixture_file_regenerates_identically(fixture_lines):
     # every line decodes to a connected graph
     for line in fixture_lines[::29]:
         assert from_graph6(line).is_connected()
+
+
+def group_order(n, gens):
+    """Order of the permutation group the generators generate, by closure."""
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = tuple(h[g[v]] for v in range(n))
+            if gh not in elements:
+                elements.add(gh)
+                frontier.append(gh)
+    return len(elements)
+
+
+def relabeled_level(n, seed):
+    rng = random.Random(seed)
+    out = []
+    for g in connected_graphs(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(permuted(g, perm))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("keep", [None, delta_critical_candidate])
+def test_augment_level_equals_unpruned_loop_on_complete_levels(n, keep):
+    parents = connected_graphs(n)
+    assert augment_level(parents, keep) == augment_level_reference(parents, keep)
+
+
+@pytest.mark.parametrize("n,offset", [(6, 0), (6, 3), (7, 1), (7, 4)])
+def test_augment_level_equals_unpruned_loop_on_partial_parent_lists(n, offset):
+    # every 5th graph of a level, as the benchmark grows n = 9 from every
+    # 16th graph of level 8; level 7 with the candidate filter
+    keep = delta_critical_candidate if n == 7 else None
+    parents = connected_graphs(n)[offset::5]
+    assert augment_level(parents, keep) == augment_level_reference(parents, keep)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_augment_level_equals_unpruned_loop_on_shuffled_relabeled_parents(seed):
+    # the first child met per class depends on the parent order and labels
+    parents = relabeled_level(6, seed)
+    random.Random(seed).shuffle(parents)
+    parents = parents[:40]
+    assert augment_level(parents) == augment_level_reference(parents)
+
+
+def test_augment_level_builds_one_child_per_subset_orbit():
+    # brute force: the orbits of the nonempty subsets of each parent under
+    # all of its automorphisms; each orbit's least subset is the one child
+    # built and handed to keep
+    for parent in relabeled_level(5, 5):
+        n = len(parent)
+        auts = [
+            p for p in itertools.permutations(range(n)) if permuted(parent, p) == parent
+        ]
+        minima = [
+            s
+            for s in range(1, 1 << n)
+            if all(
+                s <= sum(1 << p[v] for v in range(n) if (s >> v) & 1) for p in auts
+            )
+        ]
+        built = []
+
+        def record(child):
+            built.append(child[-1])  # the new vertex's row is its subset
+            return True
+
+        augment_level([parent], keep=record)
+        assert built == minima
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refinement_equals_tuple_signature_refinement(data):
+    # the packed int signatures must rank exactly as the tuples do, so the
+    # partitions, and with them the certificates, are unchanged
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    adj = masks_from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+    ncls = data.draw(st.integers(min_value=1, max_value=n))
+    colors = [data.draw(st.integers(min_value=0, max_value=ncls - 1)) for _ in range(n)]
+    colors = [sorted(set(colors)).index(c) for c in colors]
+    colors[data.draw(st.integers(min_value=0, max_value=n - 1))] = -1
+    nbrs = [[w for w in range(n) if (a >> w) & 1] for a in adj]
+    assert enumerate_graphs._refine(n, nbrs, colors) == refine_reference(n, adj, colors)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_automorphism_generators_generate_the_automorphism_group(n):
+    for g in relabeled_level(n, n):
+        gens = automorphism_generators(g)
+        for perm in gens:
+            assert sorted(perm) == list(range(n))
+            assert permuted(g, perm) == g
+        assert group_order(n, gens) == automorphism_count_reference(g)
+
+
+def test_certificates_equal_the_reference_on_the_fixture(fixture_lines):
+    assert len(fixture_lines) == 996
+    for line in fixture_lines:
+        masks = tuple(from_graph6(line).adj_mask)
+        assert canonical_cert(masks) == canonical_cert_reference(masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_candidate_filter_is_invariant_under_relabeling(data):
+    # augment_level's keep contract: orbit pruning tests one subset per
+    # orbit, so the filter must not depend on labels
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    masks = masks_from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+    perm = data.draw(st.permutations(range(n)))
+    assert delta_critical_candidate(masks) == delta_critical_candidate(
+        permuted(masks, list(perm))
+    )
+
+
+def test_candidate_filter_accepts_every_critical_class_two_graph():
+    graphs = [from_graph6(line) for line in CLASS2_N7.read_text().split()]
+    critical = [g for g in graphs if is_delta_critical(g)]
+    assert len(critical) == 26
+    assert all(delta_critical_candidate(tuple(g.adj_mask)) for g in critical)

@@ -425,6 +425,35 @@ def test_k11_criticality_is_decided_without_search(monkeypatch):
     assert searched == []
 
 
+def test_over_budget_edge_decision_is_searched_once(monkeypatch):
+    # FBnn_ at budget 13: the G - e decisions of two edges run out of
+    # budget, and every later check that asks one again gets
+    # BudgetExceeded from the memo instead of a second search (without
+    # the memo, the report makes 8 searches)
+    searched = []
+    real_colorable = solver._colorable
+
+    def counting_colorable(g, k, budget):
+        searched.append(g.edges)
+        return real_colorable(g, k, budget)
+
+    monkeypatch.setattr(solver, "_colorable", counting_colorable)
+    reports, summary = scan_corpus(
+        ["FBnn_"], ScanConfig(checks=normalize_checks("all"), budget=13)
+    )
+    assert summary["errors"] == 0
+    assert len(searched) == len(set(searched)) == 2
+    rep = json.loads(reports[0])
+    undecided = [
+        name
+        for name, vds in rep["checks"].items()
+        for vd in vds
+        if vd["status"] == "UNKNOWN"
+        and vd["detail"].get("reason") == "criticality undecided within budget"
+    ]
+    assert len(undecided) >= 2
+
+
 def test_each_graph_fact_is_decided_once(monkeypatch):
     # one report asks chi' and criticality from every check; each G - e is
     # built once and a None budget is resolved once
