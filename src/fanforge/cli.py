@@ -255,6 +255,9 @@ def cmd_tau(args) -> int:
         print(f"cannot build a normalized fan: {exc}", file=sys.stderr)
         return OP_ERROR
     phi, fan = nf.phi, nf.fan
+    if args.color is not None and not 1 <= args.color <= phi.k:
+        print(f"--color must be in [1,{phi.k}], got {args.color}", file=sys.stderr)
+        return OP_ERROR
     fanmiss = fan_missing_union(phi, fan)
     taus = (
         [args.color]

@@ -4,6 +4,11 @@ Colors are the integers 1..k. A coloring may leave at most one edge
 uncolored (the working edge of the recoloring machinery). Missing sets are
 maintained incrementally as bitmasks: bit (c-1) of missing[v] is set iff
 color c is absent at v.
+
+The edge of color c at v is kept in one flat by-color table of n * k
+entries, `_by_color[v * k + c - 1]`, with -1 where v misses c. Copying a
+coloring is then one list copy, and a Kempe swap flips colors, table
+entries and endpoint masks in place on the copy.
 """
 
 from __future__ import annotations
@@ -72,8 +77,8 @@ class PartialEdgeColoring:
         self.uncolored: Optional[int] = None
         full = (1 << k) - 1
         self.missing = [full] * graph.n
-        # edge carrying color c at v, 0-based storage: _by_color[v][c-1]
-        self._by_color = [[-1] * k for _ in range(graph.n)]
+        # edge carrying color c at v: _by_color[v * k + c - 1], -1 if none
+        self._by_color = [-1] * (graph.n * k)
 
     # -- construction ------------------------------------------------------
 
@@ -101,10 +106,24 @@ class PartialEdgeColoring:
         if uncolored is not None and not blank:
             raise ColoringError(f"edge {uncolored} is colored")
         phi.uncolored = blank[0] if blank else None
+        asg = phi.assignment
+        missing = phi.missing
+        bc = phi._by_color
+        ends = graph.edges
         for e, c in enumerate(colors):
             if c is None:
                 continue
-            phi._paint(e, c)
+            if not (1 <= c <= k):
+                raise ColoringError(f"color {c} outside [1,{k}]")
+            u, v = ends[e]
+            bit = 1 << (c - 1)
+            if not (missing[u] & missing[v] & bit):
+                raise ColoringError(f"color {c} clashes at edge {e}")
+            asg[e] = c
+            missing[u] ^= bit
+            missing[v] ^= bit
+            bc[u * k + c - 1] = e
+            bc[v * k + c - 1] = e
         return phi
 
     def copy(self) -> "PartialEdgeColoring":
@@ -114,37 +133,8 @@ class PartialEdgeColoring:
         new.assignment = self.assignment.copy()
         new.uncolored = self.uncolored
         new.missing = self.missing.copy()
-        new._by_color = [row.copy() for row in self._by_color]
+        new._by_color = self._by_color.copy()
         return new
-
-    # -- low-level paint/erase (keep caches in sync) -----------------------
-
-    def _paint(self, e: int, c: int):
-        if not (1 <= c <= self.k):
-            raise ColoringError(f"color {c} outside [1,{self.k}]")
-        if self.assignment[e] is not None:
-            raise ColoringError(f"edge {e} already colored")
-        u, v = self.graph.edges[e]
-        bit = 1 << (c - 1)
-        if not (self.missing[u] & bit) or not (self.missing[v] & bit):
-            raise ColoringError(f"color {c} clashes at edge {e}")
-        self.assignment[e] = c
-        self.missing[u] &= ~bit
-        self.missing[v] &= ~bit
-        self._by_color[u][c - 1] = e
-        self._by_color[v][c - 1] = e
-
-    def _erase(self, e: int):
-        c = self.assignment[e]
-        if c is None:
-            raise ColoringError(f"edge {e} not colored")
-        u, v = self.graph.edges[e]
-        bit = 1 << (c - 1)
-        self.assignment[e] = None
-        self.missing[u] |= bit
-        self.missing[v] |= bit
-        self._by_color[u][c - 1] = -1
-        self._by_color[v][c - 1] = -1
 
     # -- queries -----------------------------------------------------------
 
@@ -171,11 +161,18 @@ class PartialEdgeColoring:
         return bool(self.missing[v] >> (c - 1) & 1)
 
     def edge_with_color(self, v: int, c: int) -> Optional[int]:
-        e = self._by_color[v][c - 1]
+        # an unchecked c would read another vertex's slot of the flat table
+        if not (1 <= c <= self.k):
+            raise ColoringError(f"color {c} outside [1,{self.k}]")
+        e = self._by_color[v * self.k + c - 1]
         return None if e < 0 else e
 
     def is_elementary(self, vertices: Iterable[int]) -> bool:
-        """True iff the missing sets of the given vertices are pairwise disjoint."""
+        """True iff the missing sets of the given vertices are pairwise disjoint.
+
+        The sets are taken once per listed entry, so a vertex listed twice
+        makes the list non-elementary unless it misses no color.
+        """
         acc = 0
         for v in vertices:
             m = self.missing[v]
@@ -195,22 +192,25 @@ class PartialEdgeColoring:
             return f"{len(blank)} uncolored edges"
         if (blank[0] if blank else None) != self.uncolored:
             return "uncolored cache mismatch"
-        full = (1 << self.k) - 1
+        k = self.k
+        full = (1 << k) - 1
         for v in range(g.n):
             seen = 0
             for w in g.adjacency[v]:
-                c = self.assignment[g.edge_id(v, w)]
+                e = g.edge_id(v, w)
+                c = self.assignment[e]
                 if c is None:
                     continue
                 bit = 1 << (c - 1)
                 if seen & bit:
                     return f"color {c} repeated at vertex {v}"
                 seen |= bit
+                if self._by_color[v * k + c - 1] != e:
+                    return f"by-color cache wrong at vertex {v}, color {c}"
             if self.missing[v] != full & ~seen:
                 return f"missing-set cache wrong at vertex {v}"
-            for c in range(1, self.k + 1):
-                e = self._by_color[v][c - 1]
-                if e >= 0 and self.assignment[e] != c:
+            for c in range(1, k + 1):
+                if not seen >> (c - 1) & 1 and self._by_color[v * k + c - 1] != -1:
                     return f"by-color cache wrong at vertex {v}, color {c}"
         return None
 
@@ -219,92 +219,107 @@ class PartialEdgeColoring:
 
     # -- chains ------------------------------------------------------------
 
+    def _check_pair(self, a: int, b: int):
+        if a == b:
+            raise ColoringError("chain colors must differ")
+        for c in (a, b):
+            if not (1 <= c <= self.k):
+                raise ColoringError(f"color {c} outside [1,{self.k}]")
+
     def chain_at(self, v: int, a: int, b: int) -> Chain:
         """The unique maximal (a,b)-alternating component through v.
 
         Cycle chains are listed starting at v toward the lower-id neighbor;
         path chains are listed from their lower-id endpoint.
         """
-        if a == b:
-            raise ColoringError("chain colors must differ")
-        for c in (a, b):
-            if not (1 <= c <= self.k):
-                raise ColoringError(f"color {c} outside [1,{self.k}]")
-        ea = self.edge_with_color(v, a)
-        eb = self.edge_with_color(v, b)
-        lo, hi = min(a, b), max(a, b)
-        if ea is None and eb is None:
-            return Chain((lo, hi), "path", (v,), ())
+        self._check_pair(a, b)
+        both = (1 << (a - 1)) | (1 << (b - 1))
+        if self.missing[v] & both == both:
+            return Chain((min(a, b), max(a, b)), "path", (v,), ())
+        return self._walk(v, a, b)
 
-        def walk(start_edge: int, at: int):
-            verts = [at]
-            eids = []
-            cur_e = start_edge
-            cur_v = at
-            while cur_e is not None:
-                eids.append(cur_e)
-                cur_v = self.graph.other_end(cur_e, cur_v)
-                verts.append(cur_v)
-                if cur_v == at and len(eids) > 1:
-                    break
-                nxt_color = b if self.assignment[cur_e] == a else a
-                cur_e = self.edge_with_color(cur_v, nxt_color)
-                if cur_e in eids:
-                    cur_e = None
-            return verts, eids
+    def _walk(self, v: int, a: int, b: int) -> Chain:
+        """The (a,b)-chain through v, which has a or b present.
 
-        if ea is not None and eb is not None:
-            # v interior: try one direction; may close a cycle
-            first = min(
-                (ea, self.graph.other_end(ea, v)),
-                (eb, self.graph.other_end(eb, v)),
-                key=lambda t: t[1],
-            )[0]
-            verts, eids = walk(first, v)
-            if verts[-1] == verts[0]:
-                return Chain((lo, hi), "cycle", tuple(verts[:-1]), tuple(eids))
-            other = eb if first == ea else ea
-            back_verts, back_eids = walk(other, v)
-            # stitch: back part reversed, then forward part
-            allv = back_verts[::-1] + verts[1:]
-            alle = back_eids[::-1] + eids
-            if allv[0] > allv[-1]:
-                allv.reverse()
-                alle.reverse()
-            return Chain((lo, hi), "path", tuple(allv), tuple(alle))
-
-        start = ea if ea is not None else eb
-        verts, eids = walk(start, v)
+        The coloring is proper, so the (a,b)-subgraph has maximum degree 2
+        and a trail along it can only come back to where it started: the
+        one test `x == v` tells a cycle from a path, and no edge can be met
+        twice.
+        """
+        k = self.k
+        bc = self._by_color
+        ends = self.graph.edges
+        colors = (a, b) if a < b else (b, a)
+        s = a + b
+        ea = bc[v * k + a - 1]
+        eb = bc[v * k + b - 1]
+        if ea >= 0 and eb >= 0:
+            # v is interior: walk toward the lower-id neighbor first
+            p, q = ends[ea]
+            na = q if p == v else p
+            p, q = ends[eb]
+            nb = q if p == v else p
+            starts = ((ea, a), (eb, b)) if na < nb else ((eb, b), (ea, a))
+        else:
+            starts = ((ea, a),) if ea >= 0 else ((eb, b),)
+        runs = []
+        for e, c in starts:
+            verts: list[int] = []
+            eids: list[int] = []
+            x = v
+            while e >= 0:
+                eids.append(e)
+                p, q = ends[e]
+                x = q if p == x else p
+                if x == v:
+                    return Chain(colors, "cycle", (v, *verts), tuple(eids))
+                verts.append(x)
+                c = s - c
+                e = bc[x * k + c - 1]
+            runs.append((verts, eids))
+        verts, eids = runs[0]
+        verts.insert(0, v)
+        if len(runs) == 2:
+            # stitch: the second run reversed, then v and the first run
+            back_verts, back_eids = runs[1]
+            back_verts.reverse()
+            back_eids.reverse()
+            verts = back_verts + verts
+            eids = back_eids + eids
         if verts[0] > verts[-1]:
             verts.reverse()
             eids.reverse()
-        return Chain((lo, hi), "path", tuple(verts), tuple(eids))
+        return Chain(colors, "path", tuple(verts), tuple(eids))
 
     def chains(self, a: int, b: int) -> list[Chain]:
-        """All (a,b)-chains that contain at least one edge, deterministic order."""
-        seen: set[int] = set()
+        """All (a,b)-chains that contain at least one edge, deterministic order.
+
+        Chains come in the order of their lowest-id vertex, each listed as
+        `chain_at` at that vertex lists it.
+        """
+        self._check_pair(a, b)
+        both = (1 << (a - 1)) | (1 << (b - 1))
+        missing = self.missing
+        seen = [False] * self.graph.n
         out = []
         for v in range(self.graph.n):
-            if v in seen:
+            if seen[v] or missing[v] & both == both:
                 continue
-            ch = self.chain_at(v, a, b)
-            if not ch.edges:
-                continue
-            seen.update(ch.vertices)
+            ch = self._walk(v, a, b)
+            for x in ch.vertices:
+                seen[x] = True
             out.append(ch)
         return out
 
     def check_chain_current(self, chain: Chain) -> bool:
+        """True iff the chain's edges carry its two colors, alternating in
+        the listed order."""
         a, b = chain.colors
-        want = {a, b}
-        for e in chain.edges:
-            if self.assignment[e] not in want:
-                return False
-        # alternation along the listed order
+        asg = self.assignment
         prev = None
         for e in chain.edges:
-            c = self.assignment[e]
-            if prev is not None and c == prev:
+            c = asg[e]
+            if c == prev or (c != a and c != b):
                 return False
             prev = c
         return True
@@ -366,21 +381,56 @@ def chain_at(phi: PartialEdgeColoring, v: int, a: int, b: int) -> Chain:
 
 
 def kempe_swap(phi: PartialEdgeColoring, chain: Chain) -> PartialEdgeColoring:
-    """Interchange the chain's two colors on its edges; returns a new coloring."""
+    """Interchange the chain's two colors on its edges; returns a new coloring.
+
+    Raises StaleChainError unless the chain's edges carry its two colors
+    alternately in phi, and ColoringError when the colors are equal or out
+    of range, an edge is listed twice, or the chain is not maximal: an end
+    of a chain edge carries the edge's new color on an edge outside the
+    chain. Colors and by-color entries are flipped in place on a copy of
+    phi. A vertex on two chain edges keeps its missing set; one on a single
+    chain edge, a path endpoint, trades the old color for the new one.
+    """
     if not phi.check_chain_current(chain):
         raise StaleChainError("chain does not match the current coloring")
+    edges = chain.edges
+    if not edges:
+        return phi.copy()
     a, b = chain.colors
+    phi._check_pair(a, b)
     new = phi.copy()
-    swap_chain_inplace(new, chain.edges, a, b)
+    s = a + b
+    both = (1 << (a - 1)) | (1 << (b - 1))
+    k = new.k
+    asg = new.assignment
+    bc = new._by_color
+    missing = new.missing
+    ends = new.graph.edges
+    # the colors alternate (checked above), so an edge listed twice shows
+    # up already flipped; clear every old entry before writing new ones
+    old = asg[edges[0]]
+    for e in edges:
+        if asg[e] != old:
+            raise ColoringError(f"edge {e} listed twice in the chain")
+        asg[e] = s - old
+        u, w = ends[e]
+        bc[u * k + old - 1] = -1
+        bc[w * k + old - 1] = -1
+        missing[u] ^= both
+        missing[w] ^= both
+        old = s - old
+    # an entry still set for an edge's new color belongs to an edge
+    # outside the chain
+    for e in edges:
+        c = asg[e]
+        u, w = ends[e]
+        i = u * k + c - 1
+        j = w * k + c - 1
+        if bc[i] >= 0 or bc[j] >= 0:
+            raise ColoringError(f"color {c} clashes at edge {e}")
+        bc[i] = e
+        bc[j] = e
     return new
-
-
-def swap_chain_inplace(phi: PartialEdgeColoring, edge_ids: Sequence[int], a: int, b: int):
-    olds = [phi.assignment[e] for e in edge_ids]
-    for e in edge_ids:
-        phi._erase(e)
-    for e, c in zip(edge_ids, olds):
-        phi._paint(e, b if c == a else a)
 
 
 def kempe_swap_at(phi: PartialEdgeColoring, v: int, a: int, b: int) -> PartialEdgeColoring:

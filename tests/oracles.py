@@ -7,11 +7,16 @@ colorability without ordering heuristics, symmetry breaking, or
 overfullness shortcuts. The enumerator references are the unpruned
 augmentation loop over a certificate with tuple refinement signatures,
 and an automorphism counter that extends partial maps vertex by vertex.
+The Kempe-chain references are the closure-based walk that `chain_at` and
+`chains` used before the flat by-color table, reading colors from the
+assignment alone, and a swap that repaints the whole coloring.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
+
+from fanforge.colorings import Chain, ColoringError, PartialEdgeColoring
 
 
 def decode_graph6_reference(text: str) -> tuple[int, set[frozenset[int]]]:
@@ -264,3 +269,99 @@ def automorphism_count_reference(adj: Sequence[int]) -> int:
         return total
 
     return rec(0, 0)
+
+
+def _edge_with_color_reference(phi, v: int, c: int) -> Optional[int]:
+    g = phi.graph
+    for w in g.adjacency[v]:
+        e = g.edge_id(v, w)
+        if phi.assignment[e] == c:
+            return e
+    return None
+
+
+def chain_at_reference(phi, v: int, a: int, b: int):
+    """The (a,b)-chain through v: cycles start at v toward the lower-id
+    neighbor, paths run from their lower-id endpoint."""
+    if a == b:
+        raise ColoringError("chain colors must differ")
+    for c in (a, b):
+        if not (1 <= c <= phi.k):
+            raise ColoringError(f"color {c} outside [1,{phi.k}]")
+    ea = _edge_with_color_reference(phi, v, a)
+    eb = _edge_with_color_reference(phi, v, b)
+    lo, hi = min(a, b), max(a, b)
+    if ea is None and eb is None:
+        return Chain((lo, hi), "path", (v,), ())
+
+    def walk(start_edge: int, at: int):
+        verts = [at]
+        eids = []
+        cur_e = start_edge
+        cur_v = at
+        while cur_e is not None:
+            eids.append(cur_e)
+            cur_v = phi.graph.other_end(cur_e, cur_v)
+            verts.append(cur_v)
+            if cur_v == at and len(eids) > 1:
+                break
+            nxt_color = b if phi.assignment[cur_e] == a else a
+            cur_e = _edge_with_color_reference(phi, cur_v, nxt_color)
+            if cur_e in eids:
+                cur_e = None
+        return verts, eids
+
+    if ea is not None and eb is not None:
+        # v interior: try one direction; may close a cycle
+        first = min(
+            (ea, phi.graph.other_end(ea, v)),
+            (eb, phi.graph.other_end(eb, v)),
+            key=lambda t: t[1],
+        )[0]
+        verts, eids = walk(first, v)
+        if verts[-1] == verts[0]:
+            return Chain((lo, hi), "cycle", tuple(verts[:-1]), tuple(eids))
+        other = eb if first == ea else ea
+        back_verts, back_eids = walk(other, v)
+        # stitch: back part reversed, then forward part
+        allv = back_verts[::-1] + verts[1:]
+        alle = back_eids[::-1] + eids
+        if allv[0] > allv[-1]:
+            allv.reverse()
+            alle.reverse()
+        return Chain((lo, hi), "path", tuple(allv), tuple(alle))
+
+    start = ea if ea is not None else eb
+    verts, eids = walk(start, v)
+    if verts[0] > verts[-1]:
+        verts.reverse()
+        eids.reverse()
+    return Chain((lo, hi), "path", tuple(verts), tuple(eids))
+
+
+def chains_reference(phi, a: int, b: int) -> list:
+    """Every (a,b)-chain with an edge, from `chain_at_reference` at each
+    vertex in id order that no earlier chain covers."""
+    seen: set[int] = set()
+    out = []
+    for v in range(phi.graph.n):
+        if v in seen:
+            continue
+        ch = chain_at_reference(phi, v, a, b)
+        if not ch.edges:
+            continue
+        seen.update(ch.vertices)
+        out.append(ch)
+    return out
+
+
+def kempe_swap_reference(phi, chain):
+    """Swap by repainting: a fresh coloring from phi's assignment with the
+    chain's two colors interchanged on its edges; ColoringError on a clash."""
+    a, b = chain.colors
+    colors = list(phi.assignment)
+    for e in chain.edges:
+        colors[e] = b if colors[e] == a else a
+    return PartialEdgeColoring.from_assignment(
+        phi.graph, phi.k, colors, uncolored=phi.uncolored
+    )

@@ -202,6 +202,13 @@ def test_verify_rejects_nonpositive_fan_budget():
     _assert_range_error(r, "--fan-budget")
 
 
+@pytest.mark.parametrize("color", ["0", "4"])
+def test_tau_rejects_a_color_outside_the_palette(color):
+    # PM is cubic, so the palette is 1..3
+    r = run_cli("tau", "--edge", "0-4", "--color", color, PM)
+    _assert_range_error(r, "--color")
+
+
 def test_scan_rejects_zero_workers():
     _assert_range_error(run_cli("scan", "--workers", "0", C5), "--workers")
 

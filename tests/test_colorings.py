@@ -1,10 +1,14 @@
 import random
+from itertools import islice
 
 import pytest
+from conftest import leaf_padded_gadget
 from hypothesis import given, settings, strategies as st
+from oracles import chain_at_reference, chains_reference, kempe_swap_reference
 
 from fanforge.colorings import (
     BothColorsPresentError,
+    Chain,
     ColoringError,
     PartialEdgeColoring,
     StaleChainError,
@@ -67,10 +71,12 @@ def test_c5_fixture_missing_sets(c5_fixture):
 def test_elementary_cases(c5_fixture):
     g, phi = c5_fixture
     assert is_elementary(phi, [0])
-    # two isolated vertices share every missing color
+    # a vertex listed twice clashes with itself unless it misses nothing
     h = SimpleGraph(3, [(0, 1)])
     psi = PartialEdgeColoring.from_assignment(h, 1, [1])
-    assert not is_elementary(psi, [2, 2]) or True  # same vertex twice is fine
+    assert not is_elementary(psi, [2, 2])
+    assert is_elementary(psi, [0, 0])
+    # two isolated vertices share every missing color
     h2 = SimpleGraph(4, [(0, 1)])
     psi2 = PartialEdgeColoring.from_assignment(h2, 1, [1])
     assert not is_elementary(psi2, [2, 3])
@@ -106,6 +112,14 @@ def test_swap_involution(c5_fixture):
     ch = chain_at(phi, 2, 1, 2)
     back = kempe_swap(kempe_swap(phi, ch), ch)
     assert back.signature() == phi.signature()
+
+
+def test_edge_with_color_rejects_colors_outside_the_palette():
+    phi = PartialEdgeColoring.from_assignment(path(3), 2, [1, 2])
+    assert phi.edge_with_color(1, 2) == 1
+    for c in (0, 3):
+        with pytest.raises(ColoringError):
+            phi.edge_with_color(1, c)
 
 
 def test_single_edge_swap():
@@ -269,3 +283,154 @@ def test_from_assignment_uncolored_consistency(c5_fixture):
         PartialEdgeColoring.from_assignment(g, 2, [None, 2, 1, 2, 1], uncolored=3)
     with pytest.raises(ColoringError):
         PartialEdgeColoring.from_assignment(g, 2, [1, 2, 1, 2, 1], uncolored=0)
+
+
+def _table(phi):
+    return [
+        phi.edge_with_color(v, c)
+        for v in range(phi.graph.n)
+        for c in range(1, phi.k + 1)
+    ]
+
+
+def _assert_kernel_matches_reference(phi):
+    """chain_at and chains equal the closure-based reference on every
+    vertex and ordered color pair, and every swap equals a repaint."""
+    assert phi.validate_detail() is None
+    for a in range(1, phi.k + 1):
+        for b in range(1, phi.k + 1):
+            if a == b:
+                continue
+            for v in range(phi.graph.n):
+                assert phi.chain_at(v, a, b) == chain_at_reference(phi, v, a, b)
+            chains = phi.chains(a, b)
+            assert chains == chains_reference(phi, a, b)
+            if a > b:
+                continue
+            for ch in chains:
+                out = kempe_swap(phi, ch)
+                ref = kempe_swap_reference(phi, ch)
+                assert out.signature() == ref.signature()
+                assert out.missing == ref.missing
+                assert _table(out) == _table(ref)
+                assert out.validate_detail() is None
+
+
+def _assert_cut_chains_rejected(phi):
+    """Every proper prefix of a chain is current but not maximal: the swap
+    raises ColoringError (not StaleChainError) and phi is untouched."""
+    sig = phi.signature()
+    for a in range(1, phi.k + 1):
+        for b in range(a + 1, phi.k + 1):
+            for ch in phi.chains(a, b):
+                for j in range(1, len(ch.edges)):
+                    cut = Chain(ch.colors, "path", ch.vertices[: j + 1], ch.edges[:j])
+                    assert phi.check_chain_current(cut)
+                    with pytest.raises(ColoringError) as info:
+                        kempe_swap(phi, cut)
+                    assert not isinstance(info.value, StaleChainError)
+                    with pytest.raises(ColoringError):
+                        kempe_swap_reference(phi, cut)
+    assert phi.signature() == sig
+    assert phi.validate_detail() is None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    return SimpleGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_graphs(), st.data())
+def test_chain_kernel_equals_reference_on_random_graphs(g, data):
+    delta = max((g.degree(v) for v in range(g.n)), default=0)
+    e = data.draw(st.sampled_from(range(len(g.edges)))) if g.edges else None
+    for k in (delta, delta + 1):
+        for phi in islice(iter_colorings(g, e, k), 3):
+            _assert_kernel_matches_reference(phi)
+            _assert_cut_chains_rejected(phi)
+            # and one state a swap away, off the lexicographic order
+            moves = list(swap_moves(phi))
+            if moves:
+                move = moves[data.draw(st.integers(0, len(moves) - 1))]
+                _assert_kernel_matches_reference(kempe_swap(phi, move))
+
+
+@st.composite
+def gadget_spokes(draw):
+    delta = draw(st.integers(min_value=4, max_value=6))
+    ecs = draw(
+        st.lists(
+            st.integers(min_value=2, max_value=delta),
+            min_size=1,
+            max_size=delta - 2,
+            unique=True,
+        )
+    )
+    spokes = []
+    for ec in ecs:
+        mc = draw(st.integers(min_value=1, max_value=delta).filter(lambda c: c != ec))
+        spokes.append((ec, mc))
+    return delta, spokes
+
+
+@settings(max_examples=30, deadline=None)
+@given(gadget_spokes())
+def test_chain_kernel_equals_reference_on_leaf_padded_gadgets(shape):
+    # most vertices are leaves that miss every color but one
+    g, phi = leaf_padded_gadget(*shape)
+    _assert_kernel_matches_reference(phi)
+    _assert_cut_chains_rejected(phi)
+
+
+def test_cut_path_prefix_raises_and_leaves_source_unchanged():
+    phi = PartialEdgeColoring.from_assignment(path(5), 2, [1, 2, 1, 2])
+    ch = phi.chain_at(0, 1, 2)
+    assert ch.edges == (0, 1, 2, 3)
+    sig = phi.signature()
+    cut = Chain(ch.colors, "path", ch.vertices[:3], ch.edges[:2])
+    with pytest.raises(ColoringError) as info:
+        kempe_swap(phi, cut)
+    assert not isinstance(info.value, StaleChainError)
+    assert phi.signature() == sig
+    assert phi.validate_detail() is None
+
+
+def test_swap_on_copy_leaves_the_original_untouched():
+    g, phi = leaf_padded_gadget(5, [(3, 4), (4, 3)])
+    before = _table(phi)
+    psi = phi.copy()
+    for a in range(1, phi.k + 1):
+        for b in range(a + 1, phi.k + 1):
+            for ch in psi.chains(a, b):
+                out = kempe_swap(psi, ch)
+                assert out.signature() != psi.signature()
+                assert out.validate_detail() is None
+    assert _table(phi) == before and _table(psi) == before
+    assert phi.validate_detail() is None and psi.validate_detail() is None
+
+
+def test_swap_rejects_forged_chains():
+    phi = PartialEdgeColoring.from_assignment(path(4), 2, [1, 2, 1])
+    for forged in (
+        Chain((1, 2), "path", (0, 1, 2, 1), (0, 1, 0)),  # edge listed twice
+        Chain((1, 1), "path", (0, 1), (0,)),
+        Chain((1, 3), "path", (0, 1), (0,)),  # color 3 outside [1,2]
+    ):
+        with pytest.raises(ColoringError):
+            kempe_swap(phi, forged)
+    assert phi.validate_detail() is None
+
+
+def test_chains_checks_its_colors_on_empty_and_edgeless_graphs():
+    for n in (0, 4):
+        phi = PartialEdgeColoring(SimpleGraph(n, []), 3)
+        assert phi.chains(1, 2) == []
+        for a, b in ((1, 1), (0, 2), (2, 4)):
+            with pytest.raises(ColoringError):
+                phi.chains(a, b)
+            with pytest.raises(ColoringError):
+                list(swap_moves(phi, [(a, b)]))
