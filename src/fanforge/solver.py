@@ -10,16 +10,23 @@ any search.
 Edge criticality in a class-2 graph is a Delta-decision: e is critical
 exactly when G - e is Delta-colorable. Vizing's theorem or the overfull
 bound settles most edges; the rest go to an exact search in a dynamic
-(DSATUR) edge order, which keeps no witness. Everything is integer
-arithmetic; no verdict is ever probabilistic.
+(DSATUR) edge order. A Delta-coloring that search finds for G - xy also
+certifies further edges by shifts (Stiebitz, Scheide, Toft and
+Favrholdt, Graph Edge Coloring, 2012, ch. 3): coloring xy with a color
+missing at y and uncoloring the edge xz of that color gives a
+Delta-coloring of G - xz. Every edge reached that way is critical without
+a search of its own, so the search runs only for the edges no shift
+reaches, and it alone answers "no". Everything is integer arithmetic; no
+verdict is ever probabilistic.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Container, Iterator, Optional
 
 from .colorings import PartialEdgeColoring
 from .graphs import SimpleGraph, degree_profile, delete_edge
@@ -127,23 +134,25 @@ def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], i
         avail[pos] = missing[u] & missing[v] & ((cap << 1) | 1)
 
 
-def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[bool, int]:
-    """Whether G has a proper k-edge-coloring, by a dynamic-order search.
+def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
+    """A proper k-edge-coloring of G, by a dynamic-order search.
 
-    Returns (answer, nodes used), a node being one color placed; raises
-    BudgetExceeded when the node budget runs out undecided. Each step
-    colors the uncolored edge with the fewest colors free at both ends
-    (DSATUR on the line graph, Brelaz 1979), ties going to the larger
-    d(u) + d(v), then the lower edge id. The first-use symmetry break of
-    `_search` stays sound under a dynamic order: the colors not placed
-    yet are interchangeable at every node. No witness is kept.
+    Returns (assignment 1-based per edge or None, nodes used), as
+    `_search` does, a node being one color placed; raises BudgetExceeded
+    when the node budget runs out undecided. Each step colors the
+    uncolored edge with the fewest colors free at both ends (DSATUR on
+    the line graph, Brelaz 1979), ties going to the larger d(u) + d(v),
+    then the lower edge id. The first-use symmetry break of `_search`
+    stays sound under a dynamic order: the colors not placed yet are
+    interchangeable at every node.
     """
     m = len(g.edges)
     if m == 0:
-        return True, 0
+        return [], 0
     # positions into ends are the tie-break order, so a scan of the
     # uncolored list in list order keeps the first of equally free edges
-    ends = [g.edges[e] for e in _edge_order(g)]
+    order = _edge_order(g)
+    ends = [g.edges[e] for e in order]
     missing = [(1 << k) - 1] * g.n
     uncolored = list(range(m))
     # per depth: the slot of its edge in `uncolored` (to put it back on
@@ -184,7 +193,7 @@ def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[bool, int]:
                 break
             uncolored.insert(slot[depth], at[depth])
             if depth == 0:
-                return False, nodes
+                return None, nodes
             depth -= 1
         bit = a & -a
         avail[depth] = a ^ bit
@@ -195,9 +204,58 @@ def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[bool, int]:
         missing[u] ^= bit
         missing[v] ^= bit
         if not uncolored:
-            return True, nodes
+            colors = [0] * m
+            for d in range(m):
+                colors[order[at[d]]] = chosen[d].bit_length()
+            return colors, nodes
         cap = used[depth] | bit
         depth += 1
+
+
+def shift_certificates(
+    g: SimpleGraph,
+    colors: list[Optional[int]],
+    e: int,
+    settled: Container[int] = (),
+) -> Iterator[tuple[int, list[Optional[int]]]]:
+    """Colorings of G - f for further edges f, reached by shifts from
+    `colors`, a proper coloring of G - e (None at e).
+
+    A shift from a coloring of G - vw at its end v: an edge f = vz whose
+    color a is missing at w is uncolored and vw takes a. Color a then
+    sits once at v and once at w and leaves z, so the result is a proper
+    coloring of G - f with the same colors. Yields (f, coloring of G - f)
+    breadth-first, each edge once and never e nor an edge in `settled`
+    (read at each step, so a caller may add to it as it goes), and shifts
+    on from every coloring it yields.
+    """
+    index = g.edge_index
+    incident = [
+        [index[(v, z) if v < z else (z, v)] for z in g.adjacency[v]]
+        for v in range(g.n)
+    ]
+    ends = g.edges
+    seen = {e}
+    work = deque([(colors, e)])
+    while work:
+        colors, vw = work.popleft()
+        for v, w in (ends[vw], ends[vw][::-1]):
+            at_w = 0
+            for f in incident[w]:
+                if f != vw:
+                    at_w |= 1 << colors[f]
+            for f in incident[v]:
+                if f in seen or f in settled:
+                    continue
+                a = colors[f]
+                if at_w >> a & 1:
+                    continue
+                seen.add(f)
+                shifted = colors.copy()
+                shifted[vw] = a
+                shifted[f] = None
+                work.append((shifted, f))
+                yield f, shifted
 
 
 _CHI_CACHE: dict = {}
@@ -266,13 +324,14 @@ class GraphFacts:
     and raises again without a second search.
     """
 
-    __slots__ = ("graph", "budget", "verdict", "_nodes", "_critical")
+    __slots__ = ("graph", "budget", "node_budget", "verdict", "_critical")
 
     def __init__(self, g: SimpleGraph, budget: Optional[int]):
         self.graph = g
         self.budget = budget  # as asked: the memo key of graph_facts
-        self._nodes = node_budget_default() if budget is None else budget
-        self.verdict = chromatic_index(g, self._nodes)
+        # as resolved: the node budget of each search
+        self.node_budget = node_budget_default() if budget is None else budget
+        self.verdict = chromatic_index(g, self.node_budget)
         self._critical: dict[int, Optional[bool]] = {}
 
     def edge_critical(self, e: int) -> bool:
@@ -295,7 +354,10 @@ class GraphFacts:
         return known[e]
 
     def _deletion_colorable(self, e: int) -> bool:
-        """Is G - e Delta(G)-colorable? The one place that builds G - e."""
+        """Is G - e Delta(G)-colorable? The one place that builds G - e.
+
+        A Delta-coloring found for G - e also settles, as critical, every
+        edge without an answer yet that it shifts to."""
         g = self.graph
         prof = degree_profile(g)
         ends = g.edges[e]
@@ -303,7 +365,14 @@ class GraphFacts:
             return True  # Delta(G - e) < Delta: Vizing's theorem colors it
         if len(g.edges) - 1 > prof.delta * (g.n // 2):
             return False  # G - e is overfull for Delta colors
-        return _colorable(delete_edge(g, e), prof.delta, self._nodes)[0]
+        rest = _colorable(delete_edge(g, e), prof.delta, self.node_budget)[0]
+        if rest is None:
+            return False
+        # delete_edge keeps the order of the other edges
+        known = self._critical
+        for f, _ in shift_certificates(g, rest[:e] + [None] + rest[e:], e, known):
+            known[f] = True
+        return True
 
     def critical_edges(self) -> list[int]:
         """Edge ids whose deletion lowers chi'. Empty for class-1 input."""

@@ -53,7 +53,9 @@ from .recolor import (
     witness_tau_item,
 )
 from .solver import (
+    BudgetExceeded,
     ColoringSpace,
+    _colorable,
     graph_facts,
     is_just_overfull,
     is_overfull,
@@ -583,11 +585,15 @@ def check_conjecture(name: str, g: SimpleGraph, budget: Optional[int] = None) ->
 
 
 def _reverify_class_two(g: SimpleGraph, budget: Optional[int]) -> bool:
-    """Second solver pass over a reversed edge order; a FAIL on a
-    conjecture check is trusted only when this agrees."""
-    relabeled = SimpleGraph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges])
-    cv = graph_facts(relabeled, budget).verdict
-    return cv.status == "ok" and cv.cls == "two"
+    """Whether a second search, in the dynamic order of `_colorable`
+    rather than the fixed order that decided chi', also finds no
+    Delta-coloring of G; a FAIL on a conjecture check is trusted only
+    when it does. A search that runs out of budget confirms nothing."""
+    try:
+        colors, _ = _colorable(g, degree_profile(g).delta, graph_facts(g, budget).node_budget)
+    except BudgetExceeded:
+        return False
+    return colors is None
 
 
 # -- per-graph verification ------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanforge import solver
+from fanforge.colorings import PartialEdgeColoring
 from fanforge.graphs import (
     SimpleGraph,
     complete,
@@ -132,7 +133,9 @@ def test_delta_criticality_stops_at_first_noncritical_edge(monkeypatch):
     monkeypatch.setattr(solver.GraphFacts, "_deletion_colorable", counting_decide)
     assert not is_delta_critical(from_graph6("Ecto"))
     assert len(chi_calls) == 1  # G only; each G - e is a Delta-decision
-    assert decided == list(range(first + 1))  # G - e for e = 0..first
+    # edges 2 and 4 are settled by shifts from the colorings found for
+    # G - 1 and G - 3, so only edges 0, 1, 3 and 5 are asked
+    assert decided == [0, 1, 3, 5]
 
 
 @pytest.mark.parametrize(
@@ -169,8 +172,10 @@ def test_searches_on_a_deep_path_have_no_recursion_limit():
     cv = chromatic_index(g)
     assert (cv.chi_prime, cv.cls) == (2, "one")
     assert cv.witness.validate()
-    assert solver._colorable(g, 2, 10**6) == (True, 1200)
-    assert solver._colorable(g, 1, 10**6)[0] is False
+    colors, nodes = solver._colorable(g, 2, 10**6)
+    assert nodes == 1200
+    assert PartialEdgeColoring.from_assignment(g, 2, colors).validate()
+    assert solver._colorable(g, 1, 10**6)[0] is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -182,9 +187,13 @@ def test_colorable_agrees_with_reference(data):
     g = SimpleGraph(n, edges)
     delta = max(g.degrees())
     for k in (delta - 1, delta, delta + 1):
-        ok, nodes = solver._colorable(g, k, 10**8)
+        colors, nodes = solver._colorable(g, k, 10**8)
+        ok = colors is not None
         assert ok == colorable_reference(g.n, list(g.edges), k), k
         assert nodes >= (len(g.edges) if ok else 0)
+        if ok:  # a proper k-coloring of every edge
+            phi = PartialEdgeColoring.from_assignment(g, k, colors)
+            assert phi.is_complete() and phi.validate()
 
 
 def test_colorable_raises_when_the_budget_runs_out():
@@ -200,14 +209,42 @@ def deletion_lowers_chi(g, e):
     return chromatic_index(delete_edge(g, e)).chi_prime < chromatic_index(g).chi_prime
 
 
+def shift_certificates_of_one_search(g, e):
+    """The (edge, coloring) certificates that the search for G - e
+    yields: its Delta-coloring of G - e and every shift from it."""
+    delta = degree_profile(g).delta
+    rest, _ = solver._colorable(delete_edge(g, e), delta, 10**8)
+    if rest is None:
+        return []
+    colors = rest[:e] + [None] + rest[e:]
+    return [(e, colors)] + list(solver.shift_certificates(g, colors, e))
+
+
+def assert_criticality_is_the_deletion_definition(g):
+    """edge_critical equals the definition, and every certificate of every
+    search is a Delta-coloring of G - f. Returns how many certificates
+    came from shifts."""
+    delta = degree_profile(g).delta
+    facts = solver.GraphFacts(g, None)
+    assert facts.verdict.cls == "two"
+    want = [deletion_lowers_chi(g, e) for e in range(g.m())]
+    assert [facts.edge_critical(e) for e in range(g.m())] == want, to_graph6(g)
+    shifted = 0
+    for e in range(g.m()):
+        certs = shift_certificates_of_one_search(g, e)
+        assert len({f for f, _ in certs}) == len(certs), (to_graph6(g), e)
+        for f, colors in certs:
+            phi = PartialEdgeColoring.from_assignment(g, delta, colors, uncolored=f)
+            assert phi.validate() and want[f], (to_graph6(g), e, f)
+        shifted += max(len(certs) - 1, 0)
+    return shifted
+
+
 def test_edge_criticality_is_the_deletion_definition_on_the_class_two_corpus():
     lines = CLASS2_N7.read_text().split()
     assert len(lines) == 40
-    for line in lines:
-        g = from_graph6(line)
-        facts = solver.GraphFacts(g, None)
-        got = [facts.edge_critical(e) for e in range(g.m())]
-        assert got == [deletion_lowers_chi(g, e) for e in range(g.m())], line
+    shifted = sum(assert_criticality_is_the_deletion_definition(from_graph6(line)) for line in lines)
+    assert shifted > 0  # the shifts are not vacuous on the corpus
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,10 +259,48 @@ def test_edge_criticality_is_the_deletion_definition_on_random_class_two_graphs(
     pairs = [(u, v) for u in range(base.n, n) for v in range(u + 1, n)]
     more = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = SimpleGraph(n, [(perm[u], perm[v]) for u, v in list(base.edges) + more])
-    facts = solver.GraphFacts(g, None)
-    assert facts.verdict.cls == "two"
-    for e in range(g.m()):
-        assert facts.edge_critical(e) == deletion_lowers_chi(g, e), (to_graph6(g), e)
+    assert_criticality_is_the_deletion_definition(g)
+
+
+def test_shift_certificates_follow_the_shift_rule():
+    # C5 minus edge 0-1, colored 1,2,1,2 along 1-2-3-4-0. At end 0, edge
+    # 0-4 has color 2, which 1 misses, so 0-1 takes 2 and 0-4 is
+    # uncolored; at end 1, edge 1-2 has color 1, which 0 misses. The
+    # shifts go on breadth-first around the cycle, and never back to 0-1.
+    g = cycle(5)
+    e01, e12, e23, e34, e04 = (g.edge_id(*p) for p in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    colors = [None] * 5
+    for f, c in ((e12, 1), (e23, 2), (e34, 1), (e04, 2)):
+        colors[f] = c
+    certs = list(solver.shift_certificates(g, colors, e01))
+    assert [f for f, _ in certs] == [e04, e12, e34, e23]
+    assert certs[0][1] == [2 if f == e01 else None if f == e04 else colors[f] for f in range(5)]
+    assert certs[1][1] == [1 if f == e01 else None if f == e12 else colors[f] for f in range(5)]
+    assert colors[e01] is None and colors[e04] == 2  # the input is not touched
+    # a settled edge is neither yielded nor shifted on from
+    assert [f for f, _ in solver.shift_certificates(g, colors, e01, {e04})] == [e12, e23, e34]
+    assert list(solver.shift_certificates(g, colors, e01, {e04, e12})) == []
+
+
+def test_shifts_settle_edges_without_search_and_keep_the_memo(monkeypatch):
+    # C5: the coloring found for C5 - e shifts to every other edge, so one
+    # search decides all five; an edge memoized as over budget stays so
+    searched = []
+    real_colorable = solver._colorable
+
+    def counting_colorable(g, k, budget):
+        searched.append(g.edges)
+        return real_colorable(g, k, budget)
+
+    monkeypatch.setattr(solver, "_colorable", counting_colorable)
+    facts = solver.GraphFacts(cycle(5), None)
+    facts._critical[1] = None
+    assert facts.edge_critical(0)
+    assert len(searched) == 1
+    assert all(facts.edge_critical(e) for e in (2, 3, 4))
+    with pytest.raises(solver.BudgetExceeded):
+        facts.edge_critical(1)
+    assert len(searched) == 1
 
 
 def test_disconnected_degenerate():
@@ -276,8 +351,6 @@ def test_parity_k4_every_color_everywhere():
 def test_parity_requires_complete():
     g = cycle(5)
     phi = chromatic_index(g).witness.copy()
-    from fanforge.colorings import PartialEdgeColoring
-
     partial = PartialEdgeColoring.from_assignment(
         g, phi.k, list(phi.assignment[:-1]) + [None]
     )

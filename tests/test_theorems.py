@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanforge import fans, graphs, solver
+from fanforge import fans, graphs, solver, theorems
 from fanforge.graphs import (
     SimpleGraph,
     complete,
@@ -476,3 +476,41 @@ def test_each_graph_fact_is_decided_once(monkeypatch):
     assert rep.error is None and rep.meta["class"] == "two"
     assert built and len(built) == len(set(built))
     assert len(resolved) == 1
+
+
+def test_conjecture_fail_is_reverified_as_class_two(monkeypatch):
+    # K3 (Bw) is critical, overfull and just overfull. With both tests
+    # forced false, each conjecture check FAILs, and the second search,
+    # on K3 itself, finds no 2-coloring either
+    asked = []
+    real_chi = solver.chromatic_index
+
+    def counting_chi(g, budget=None):
+        asked.append(g.edges)
+        return real_chi(g, budget)
+
+    monkeypatch.setattr(solver, "chromatic_index", counting_chi)
+    monkeypatch.setattr(theorems, "is_overfull", lambda g: False)
+    monkeypatch.setattr(theorems, "is_just_overfull", lambda g: False)
+    k3 = from_graph6("Bw")
+    for name in ("overfull", "just-overfull"):
+        v = check_conjecture(name, k3)
+        assert v.status == "FAIL", name
+        assert v.detail["reverified_class_two"] is True, name
+    assert len(asked) == 1  # K3's own facts; no relabeled copy is decided
+
+
+@pytest.mark.parametrize("line,budget,cls", [("Cl", None, "one"), ("Bw", 1, "two")])
+def test_conjecture_fail_not_reverified(monkeypatch, line, budget, cls):
+    # with the gate forced open: C4 (Cl) is class 1, so the second search
+    # finds a 2-coloring; on K3 a budget of one node runs out, and an
+    # undecided search confirms nothing
+    monkeypatch.setattr(theorems, "_hypothesis_gate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(theorems, "is_overfull", lambda g: False)
+    monkeypatch.setattr(theorems, "is_just_overfull", lambda g: False)
+    g = from_graph6(line)
+    assert solver.chromatic_index(g).cls == cls
+    for name in ("overfull", "just-overfull"):
+        v = check_conjecture(name, g, budget)
+        assert v.status == "FAIL", name
+        assert v.detail["reverified_class_two"] is False, name
