@@ -17,6 +17,12 @@ by parent, so `augment_level` returns the same list as the unpruned loop
 for any parent list, a complete level or any part of one; the canonical
 deletion rule of the same paper would need a complete level.
 
+A child filter may carry a bound computed once per parent
+(`augment_level` documents the contract). `delta_critical_candidate`
+carries one, derived from Vizing's adjacency lemma: it names the
+subsets whose children can pass, and the parents none of whose children
+can, so the candidate scan builds, filters and certifies only those.
+
 Used to build the graph6 fixture corpora where no external generator is
 available; counts are cross-checked against the published sequence
 1, 1, 2, 6, 21, 112, 853, 11117, 261080 in the tests.
@@ -214,17 +220,21 @@ def _subset_images(perm: Sequence[int], lo_bits: int) -> tuple[list[int], list[i
     return tables[0], tables[1]
 
 
-def _orbit_minima(n: int, gens: Sequence[Sequence[int]]) -> Iterable[int]:
-    """The nonempty subsets of n vertices that are least in their orbit
-    under the group the permutations generate, ascending."""
+def _orbit_minima(
+    n: int, gens: Sequence[Sequence[int]], subsets: Iterable[int]
+) -> Iterable[int]:
+    """For each orbit that meets `subsets` (nonempty subsets of n
+    vertices, ascending) under the group the permutations generate, the
+    least member of `subsets` in it, ascending. When `subsets` is a union
+    of orbits, these are the least subsets of its orbits."""
     if not gens:
-        return range(1, 1 << n)
+        return subsets
     lo_bits = n // 2
     lo_mask = (1 << lo_bits) - 1
     tables = [_subset_images(p, lo_bits) for p in gens]
     seen = bytearray(1 << n)
     out = []
-    for s in range(1, 1 << n):
+    for s in subsets:
         if seen[s]:
             continue
         out.append(s)
@@ -258,14 +268,35 @@ def augment_level(
     isomorphism-invariant: subsets in one orbit of the parent's
     automorphism group give isomorphic children, and only the least
     subset of each orbit is built, tested and certified.
+
+    `keep` may carry a `parent_bound` attribute, a function of the parent
+    that returns None when `keep` rejects every child of it, and otherwise
+    `(must, among, least)`: `keep` rejects every child whose subset misses
+    a vertex of the mask `must` or holds fewer than `least` vertices of
+    the mask `among`. The bound may only reject children that `keep`
+    would reject; a rejected parent is skipped before its automorphisms
+    are computed, and a rejected subset before its child is built. The
+    result is the same with or without the bound.
     """
+    bound = getattr(keep, "parent_bound", None)
     seen: dict[int, Masks] = {}
     for parent in parents:
         np1 = len(parent)
+        if bound is None:
+            subsets: Iterable[int] = range(1, 1 << np1)
+        else:
+            limits = bound(parent)
+            if limits is None:
+                continue
+            must, among, least = limits
+            subsets = [
+                s for s in range(1, 1 << np1)
+                if s & must == must and (s & among).bit_count() >= least
+            ]
         lo_bits = np1 // 2
         lo_mask = (1 << lo_bits) - 1
         lo_rows, hi_rows = _child_rows(parent, lo_bits)
-        for subset in _orbit_minima(np1, automorphism_generators(parent)):
+        for subset in _orbit_minima(np1, automorphism_generators(parent), subsets):
             child = lo_rows[subset & lo_mask] + hi_rows[subset >> lo_bits] + (subset,)
             if keep is not None and not keep(child):
                 continue
@@ -357,3 +388,44 @@ def delta_critical_candidate(adj: Sequence[int]) -> bool:
                     return True
                 parent[ru] = rw
     return False
+
+
+def _candidate_parent_bound(parent: Masks) -> Optional[tuple[int, int, int]]:
+    """`delta_critical_candidate.parent_bound`: which subsets of the
+    parent can give a child that `delta_critical_candidate` keeps.
+
+    Let top be the parent's maximum degree, hi the mask of its vertices of
+    degree at least top - 1, and c(v) = |N(v) & hi|. If some c(v) = 0, no
+    child is kept (None). Otherwise a kept child's subset s contains every
+    v with c(v) = 1 and at least two vertices of hi: (must, hi, 2).
+
+    Proof. Let D be the child's maximum degree and x its new vertex.
+    1. The adjacency bound at an edge uw gives u at least
+       D - d(w) + 1 >= 1 max-degree neighbors other than w. Take one, w';
+       the bound at uw' gives u one other than w'. So every vertex of a
+       kept child (the child is connected, so it has an edge at every
+       vertex) has at least two neighbors of degree D.
+    2. D >= top, and joining x raises a parent degree by at most 1. So a
+       parent vertex of child degree D has parent degree >= D - 1 >=
+       top - 1: it is in hi.
+    3. By 1 and 2, a parent vertex v outside s needs two neighbors in hi;
+       v in s needs one (x can be the other); x, whose neighbors are s,
+       needs two members of s in hi. A vertex with c(v) = 0 fails either
+       way, and one with c(v) = 1 must be in s.
+    Children with a vertex of degree at most 1 are rejected by 1 as well,
+    so they need no case of their own.
+    """
+    deg = [m.bit_count() for m in parent]
+    top = max(deg)
+    hi = sum(1 << v for v, d in enumerate(deg) if d >= top - 1)
+    must = 0
+    for v, m in enumerate(parent):
+        c = (m & hi).bit_count()
+        if c == 0:
+            return None
+        if c == 1:
+            must |= 1 << v
+    return must, hi, 2
+
+
+delta_critical_candidate.parent_bound = _candidate_parent_bound

@@ -204,6 +204,8 @@ def from_graph6(text: str) -> SimpleGraph:
         body = vals[4:]
     else:
         raise Graph6Error("malformed or unsupported length prefix")
+    if n == 0:
+        raise Graph6Error("order 0: a graph needs at least one vertex")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:

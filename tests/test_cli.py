@@ -58,6 +58,28 @@ def test_classify_parse_failure_exit_3():
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("args", [("classify",), ("verify", "--checks", "val")])
+def test_order_zero_graph6_exits_3_with_one_line(args):
+    # "?" is the graph6 line of the order-0 graph, which has no encoding back
+    r = run_cli(*args, "?")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.count("\n") == 1 and "order 0" in r.stderr
+
+
+def test_scan_reports_order_zero_line_and_goes_on(tmp_path):
+    inp = tmp_path / "in.g6"
+    inp.write_text("?\n" + C5 + "\n")
+    r = run_cli("scan", "--checks", "val", "--input", str(inp))
+    assert r.returncode == 3
+    bad, good = (json.loads(line) for line in r.stdout.splitlines())
+    assert bad["line_no"] == 0 and bad["graph6"] == "?"
+    assert "order 0" in bad["error"] and bad["checks"] == {}
+    assert good["line_no"] == 1 and good["error"] is None
+    assert good["checks"]["val"][0]["status"] == "PASS"
+    assert "Traceback" not in r.stderr
+
+
 def test_classify_tsv_format():
     r = run_cli("classify", "--format", "tsv", C5)
     head, row = r.stdout.strip().split("\n")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -25,7 +26,9 @@ from oracles import (
     canonical_cert_reference,
 )
 
-CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+CLASS2_N7 = DATA / "class2_n7.g6"
+CONNECTED_N8 = DATA / "connected_n8.g6"
 
 
 def masks_from_edges(n, edges):
@@ -279,3 +282,79 @@ def test_candidate_filter_accepts_every_critical_class_two_graph():
     critical = [g for g in graphs if is_delta_critical(g)]
     assert len(critical) == 26
     assert all(delta_critical_candidate(tuple(g.adj_mask)) for g in critical)
+
+
+def child_of(parent, subset):
+    n = len(parent)
+    return tuple(
+        m | (1 << n) if (subset >> i) & 1 else m for i, m in enumerate(parent)
+    ) + (subset,)
+
+
+def assert_bound_rejects_only_rejected_children(parent):
+    bound = delta_critical_candidate.parent_bound(parent)
+    for subset in range(1, 1 << len(parent)):
+        if bound is not None:
+            must, among, least = bound
+            if subset & must == must and (subset & among).bit_count() >= least:
+                continue
+        assert not delta_critical_candidate(child_of(parent, subset)), (
+            parent, subset, bound,
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_parent_bound_rejects_only_children_the_filter_rejects(n):
+    # exhaustive over every subset of every parent of the level, in two
+    # labelings
+    for parent in connected_graphs(n) + relabeled_level(n, n):
+        assert_bound_rejects_only_rejected_children(parent)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_parent_bound_is_sound_on_random_connected_graphs(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    # a random spanning tree makes the graph connected
+    tree = [(data.draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    extra = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
+    assert_bound_rejects_only_rejected_children(masks_from_edges(n, tree + extra))
+
+
+@pytest.mark.parametrize("offset", [0, 48])
+def test_bounded_augment_level_equals_unpruned_loop_on_level_8(offset):
+    # every 97th connected 8-vertex graph: the n = 9 candidates, as the
+    # benchmark grows them from a part of level 8
+    lines = CONNECTED_N8.read_text().split()
+    parents = [tuple(from_graph6(s).adj_mask) for s in lines[offset::97]]
+    keep = delta_critical_candidate
+    assert augment_level(parents, keep) == augment_level_reference(parents, keep)
+
+
+def test_parent_bound_cuts_filter_calls_below_orbit_minima():
+    parents = connected_graphs(7)
+    calls = []
+
+    @functools.wraps(delta_critical_candidate)  # keeps parent_bound
+    def counted(child):
+        calls.append(child)
+        return delta_critical_candidate(child)
+
+    assert augment_level(parents, counted) == augment_level(
+        parents, lambda child: delta_critical_candidate(child)
+    )
+    minima = sum(
+        len(list(enumerate_graphs._orbit_minima(7, automorphism_generators(p), range(1, 1 << 7))))
+        for p in parents
+    )
+    assert 0 < len(calls) < minima
+
+
+def test_keep_without_bound_gets_every_orbit_minimum():
+    for parent in relabeled_level(6, 6):
+        built = []
+        augment_level([parent], keep=lambda child: built.append(child[-1]))
+        gens = automorphism_generators(parent)
+        assert built == list(enumerate_graphs._orbit_minima(6, gens, range(1, 1 << 6)))

@@ -63,6 +63,14 @@ def test_malformed_length():
         from_graph6("~?")  # truncated long form
 
 
+def test_order_zero_rejected():
+    # to_graph6 needs n >= 1, so the decoder must not produce n = 0
+    with pytest.raises(Graph6Error, match="order 0"):
+        from_graph6("?")
+    with pytest.raises(Graph6Error, match="order 0"):
+        from_graph6(">>graph6<<?")
+
+
 def test_long_form():
     # n = 63 forces the three-character length field
     g = SimpleGraph(63, [(0, 62)])
