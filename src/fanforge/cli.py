@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout; human-readable tables go to stderr.
 Exit codes: 0 all PASS/INAPPLICABLE, 1 any FAIL, 2 any UNKNOWN or
-CONDITIONAL without FAIL, 3 operational error (bad input, bad flags).
+CONDITIONAL without FAIL (for classify: any chi' undecided within the
+budget), 3 operational error (bad input, bad flags).
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from .fans import (
     normalize_typical,
     search_maximum_multifan,
 )
-from .graphs import Graph6Error, degree_profile, from_graph6, is_core_acyclic, to_graph6
+from .graphs import (
+    Graph6Error,
+    degree_profile,
+    from_graph6,
+    graph6_lines,
+    is_core_acyclic,
+    to_graph6,
+)
 from .recolor import (
     MaximalityViolation,
     TauError,
@@ -41,6 +49,8 @@ OP_ERROR = 3
 
 
 def _read_inputs(args) -> list[str]:
+    """The input lines as given, blank and header lines included: the
+    --input file's, then the inline graphs, else stdin's."""
     lines: list[str] = []
     if args.input:
         with open(args.input) as fh:
@@ -49,7 +59,12 @@ def _read_inputs(args) -> list[str]:
         lines.extend(args.graph)
     if not lines and not sys.stdin.isatty():
         lines.extend(sys.stdin.read().splitlines())
-    return [s for s in (l.strip() for l in lines) if s and s != ">>graph6<<"]
+    return lines
+
+
+def _read_graphs(args) -> list[str]:
+    """The graph lines of the input, stripped."""
+    return [s for _, s in graph6_lines(_read_inputs(args))]
 
 
 def _emit(args, text: str):
@@ -79,7 +94,7 @@ def _parse_edge(spec: str) -> tuple[int, int]:
 
 
 def cmd_classify(args) -> int:
-    lines = _read_inputs(args)
+    lines = _read_graphs(args)
     if not lines:
         print("no input graphs", file=sys.stderr)
         return OP_ERROR
@@ -131,12 +146,13 @@ def cmd_classify(args) -> int:
         _emit(args, "\n".join(out) + "\n")
     else:
         _emit(args, "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
-    return 0
+    return 2 if any(r.get("solver_status") == "unknown" for r in rows) else 0
 
 
 def cmd_verify(args) -> int:
     lines = _read_inputs(args)
-    if not lines:
+    graphs = list(graph6_lines(lines))
+    if not graphs:
         print("no input graphs", file=sys.stderr)
         return OP_ERROR
     try:
@@ -149,7 +165,7 @@ def cmd_verify(args) -> int:
         budget=args.budget,
         fan_budget=args.fan_budget,
     )
-    for i, line in enumerate(lines):
+    for i, line in graphs:
         try:
             from_graph6(line)
         except Graph6Error as exc:
@@ -162,7 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fan(args) -> int:
-    lines = _read_inputs(args)
+    lines = _read_graphs(args)
     if len(lines) != 1:
         print("fan expects exactly one graph", file=sys.stderr)
         return OP_ERROR
@@ -231,7 +247,7 @@ def cmd_fan(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    lines = _read_inputs(args)
+    lines = _read_graphs(args)
     if len(lines) != 1:
         print("tau expects exactly one graph", file=sys.stderr)
         return OP_ERROR

@@ -41,16 +41,6 @@ class TypicalForm:
     delta_inducing: tuple[int, ...]  # s_{alpha+1} .. s_beta
 
 
-@dataclass(frozen=True)
-class FanContext:
-    """Neighborhood bookkeeping around a light center: the two max-degree
-    neighbors and the (Delta-1)-degree neighbors, q = d(r) - 2."""
-
-    delta_neighbors: tuple[int, ...]
-    low_neighbors: tuple[int, ...]
-    q: int
-
-
 @dataclass
 class Multifan:
     center: int
@@ -59,7 +49,6 @@ class Multifan:
     edge_colors: dict[int, int]  # spoke vertex -> color of r-spoke edge (s1 absent)
     missing: dict[int, tuple[int, ...]]  # snapshot of missing sets on V(F)
     typical: Optional[TypicalForm] = None
-    context: Optional[FanContext] = None
 
     def vertex_set(self) -> tuple[int, ...]:
         return (self.center,) + self.sequence
@@ -104,22 +93,16 @@ class InducingMap:
 
     entries: dict[int, tuple[str, tuple[int, ...]]]  # color -> ("2"|"delta", vertices)
 
-    def root_of(self, color: int) -> str:
-        return self.entries[color][0]
+    def root_of(self, color: int) -> Optional[str]:
+        """The root ("2" or "delta") that tags `color`, None if untagged."""
+        entry = self.entries.get(color)
+        return entry[0] if entry else None
 
     def to_json(self) -> dict:
         return {
             str(c): {"root": r, "sequence": list(seq)}
             for c, (r, seq) in self.entries.items()
         }
-
-
-def _fan_context(g: SimpleGraph, r: int) -> FanContext:
-    prof = degree_profile(g)
-    delta = prof.delta
-    dn = tuple(w for w in g.adjacency[r] if prof.degrees[w] == delta)
-    ln = tuple(w for w in g.adjacency[r] if prof.degrees[w] == delta - 1)
-    return FanContext(dn, ln, g.degree(r) - 2)
 
 
 def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> Multifan:
@@ -163,7 +146,6 @@ def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> 
             s: phi.color_of(g.edge_id(r, s)) for s in seq[1:]
         },
         missing={v: phi.missing_at(v) for v in [r] + seq},
-        context=_fan_context(g, r),
     )
 
 
@@ -322,7 +304,6 @@ def normalize_typical(
         edge_colors={s: phi2.color_of(g.edge_id(r, s)) for s in new_seq[1:]},
         missing={v: phi2.missing_at(v) for v in [r] + new_seq},
         typical=TypicalForm(alpha, beta, tuple(two_chain), tuple(delta_chain)),
-        context=_fan_context(g, r),
     )
     bad = check_typical(g, phi2, fan2)
     if bad:
@@ -847,9 +828,9 @@ def verify_stable_swaps(
             continue
         for gamma in fan_missing:
             cases = [(1, gamma, "1-gamma", True)]
-            if gamma != 1 and imap.entries.get(gamma, ("", ()))[0] == "2":
+            if gamma != 1 and imap.root_of(gamma) == "2":
                 cases.append((gamma, delta, "gamma-Delta", False))
-            if gamma != 1 and imap.entries.get(gamma, ("", ()))[0] == "delta":
+            if gamma != 1 and imap.root_of(gamma) == "delta":
                 cases.append((2, gamma, "2-gamma", False))
             for a, b, label, always in cases:
                 if a == b:
@@ -894,7 +875,7 @@ def verify_vf_stable_swaps(
         if x in vs:
             continue
         for gamma in fan_missing:
-            root = imap.entries.get(gamma, ("", ()))[0]
+            root = imap.root_of(gamma)
             if gamma == 1:
                 continue
             if root == "2":

@@ -8,7 +8,7 @@ deterministic for a given graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class Graph6Error(ValueError):
@@ -184,6 +184,16 @@ def _g6_char(c: str) -> int:
     if not (63 <= b <= 126):
         raise Graph6Error(f"character {c!r} out of graph6 range [63,126]")
     return b - 63
+
+
+def graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The graph lines of a graph6 stream, stripped, each with its line
+    number in the stream, from 0. Blank lines and the `>>graph6<<` header
+    line hold no graph."""
+    for i, line in enumerate(lines):
+        s = line.strip()
+        if s and s != _G6_HEADER:
+            yield i, s
 
 
 def from_graph6(text: str) -> SimpleGraph:

@@ -451,11 +451,9 @@ def _terminal_root(
     g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan, color: int
 ) -> Optional[str]:
     try:
-        imap = inducing_map(g, phi, fan)
+        return inducing_map(g, phi, fan).root_of(color)
     except FanError:
         return None
-    entry = imap.entries.get(color)
-    return entry[0] if entry else None
 
 
 def _unless_clause(

@@ -258,38 +258,18 @@ def shift_certificates(
                 yield f, shifted
 
 
-_CHI_CACHE: dict = {}
-_CHI_CACHE_MAX = 200_000
-
-
 def chromatic_index(
     g: SimpleGraph, budget: Optional[int] = None
 ) -> ClassVerdict:
     """Exact chi'(G) with a validating witness coloring.
 
     Requires at least one edge. Within the Vizing/Gupta window the answer
-    is Delta or Delta+1; the k = Delta attempt is exhaustive. Results are
-    memoized per (graph, budget); treat witnesses as read-only values.
+    is Delta or Delta+1; the k = Delta attempt is exhaustive.
     """
     if len(g.edges) == 0:
         raise EmptyGraphError("chromatic index query needs at least one edge")
     if budget is None:
         budget = node_budget_default()
-    key = (g.n, g.edges, budget)
-    hit = _CHI_CACHE.get(key)
-    if hit is not None:
-        return hit
-    verdict = _chromatic_index_uncached(g, budget)
-    if len(_CHI_CACHE) >= _CHI_CACHE_MAX:
-        _CHI_CACHE.clear()
-    _CHI_CACHE[key] = verdict
-    return verdict
-
-
-def _chromatic_index_uncached(g: SimpleGraph, budget: int) -> ClassVerdict:
-    # Delta is read off the degrees here and in is_overfull rather than
-    # from the memoized degree_profile: _CHI_CACHE keeps its graphs alive,
-    # and a profile on each would grow it.
     delta = max(g.degrees())
     nodes_total = 0
 

@@ -10,7 +10,6 @@ expected outcome on every corpus, and any FAIL is surfaced loudly.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -37,6 +36,7 @@ from .graphs import (
     SimpleGraph,
     degree_profile,
     from_graph6,
+    graph6_lines,
     light_vertices,
     to_graph6,
 )
@@ -147,7 +147,6 @@ def grow_pfan(
     s1: int,
     budget: int = 200,
     fan_budget: int = 50_000,
-    phi0: Optional[PartialEdgeColoring] = None,
     space: Optional[ColoringSpace] = None,
     exact: Optional[MaxFanResult] = None,
 ) -> PFan:
@@ -175,7 +174,7 @@ def grow_pfan(
     else:
         base = search_maximum_multifan(
             g, r, s1, mode="reachability", budget=budget,
-            phi0=phi0 if phi0 is not None else en.colorings[0],
+            phi0=en.colorings[0],
         )
     norm = normalize_typical(g, base.phi, base.fan)
     base = MaxFanResult(norm.phi, norm.fan, base.status, base.explored)
@@ -900,7 +899,6 @@ class VerificationReport:
     error: Optional[str] = None
     meta: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)  # name -> list of verdict dicts
-    elapsed: float = 0.0
 
     def worst(self) -> str:
         rank = {V.FAIL: 4, V.UNKNOWN: 3, V.CONDITIONAL: 3, V.PASS: 1, V.INAPPLICABLE: 0}
@@ -924,7 +922,6 @@ class VerificationReport:
 def run_graph_checks(
     line_no: int, line: str, cfg: ScanConfig
 ) -> VerificationReport:
-    t0 = time.time()
     try:
         g = from_graph6(line)
     except Exception as exc:
@@ -977,7 +974,6 @@ def run_graph_checks(
         rep.checks = results
     except Exception as exc:  # surfaced per graph, scan continues
         rep.error = f"{type(exc).__name__}: {exc}"
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -985,10 +981,7 @@ def _worker(args):
     """One scan task: the report as its encoded JSON line, plus the
     (check, status) pair of each verdict, or None for a report with an
     error."""
-    line_no, line, cfg_json = args
-    cfg = ScanConfig(**cfg_json)
-    cfg.checks = tuple(cfg.checks)
-    rep = run_graph_checks(line_no, line, cfg)
+    rep = run_graph_checks(*args)
     if rep.error:
         tally = None
     else:
@@ -1008,12 +1001,7 @@ def scan_corpus(
     """One encoded JSON report line per input line, in input order and
     independent of the worker count, plus a summary of the verdict
     counts per check."""
-    tasks = []
-    for i, line in enumerate(lines):
-        s = line.strip()
-        if not s or s == ">>graph6<<":
-            continue
-        tasks.append((i, s, cfg.to_json()))
+    tasks = [(i, s, cfg) for i, s in graph6_lines(lines)]
     if workers > 1 and len(tasks) > 1:
         import multiprocessing as mp
 

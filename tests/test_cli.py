@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fanforge.graphs import complete, cycle, delete_vertex, path, petersen, to_graph6
+from fanforge.theorems import ScanConfig, scan_corpus
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -53,6 +55,14 @@ def test_classify_petersen():
     assert not row["overfull"]
 
 
+def test_classify_exits_2_when_chi_prime_is_undecided():
+    r = run_cli("classify", "--budget", "3", PET)
+    assert r.returncode == 2
+    row = json.loads(r.stdout)
+    assert row["solver_status"] == "unknown" and row["chi_prime"] is None
+    assert "chi'=None" in r.stderr
+
+
 def test_classify_parse_failure_exit_3():
     r = run_cli("classify", "!!nope!!")
     assert r.returncode == 3
@@ -78,6 +88,32 @@ def test_scan_reports_order_zero_line_and_goes_on(tmp_path):
     assert good["line_no"] == 1 and good["error"] is None
     assert good["checks"]["val"][0]["status"] == "PASS"
     assert "Traceback" not in r.stderr
+
+
+def test_line_numbers_are_file_lines(tmp_path):
+    # the bad graph is on the file's third line, after a blank one
+    inp = tmp_path / "in.g6"
+    inp.write_text(C5 + "\n\nDh!\n")
+    v = run_cli("verify", "--checks", "val", "--input", str(inp))
+    assert v.returncode == 3 and v.stdout == ""
+    assert v.stderr.startswith("parse error on line 2: ")
+    s = run_cli("scan", "--checks", "val", "--input", str(inp))
+    assert s.returncode == 3
+    good, bad = (json.loads(line) for line in s.stdout.splitlines())
+    assert (good["line_no"], good["graph6"], good["error"]) == (0, C5, None)
+    assert (bad["line_no"], bad["graph6"]) == (2, "Dh!") and bad["error"]
+    reports, _ = scan_corpus(inp.read_text().splitlines(), ScanConfig(checks=("val",)))
+    assert reports == s.stdout.splitlines()
+
+
+def test_header_line_is_numbered_but_not_a_graph():
+    inp = ">>graph6<<\n" + C5 + "\n"
+    v = run_cli("verify", "--checks", "val", stdin=inp)
+    s = run_cli("scan", "--checks", "val", stdin=inp)
+    assert v.returncode == s.returncode == 0
+    assert v.stdout == s.stdout
+    (rep,) = [json.loads(line) for line in s.stdout.splitlines()]
+    assert rep["line_no"] == 1 and rep["graph6"] == C5
 
 
 def test_classify_tsv_format():
@@ -288,3 +324,44 @@ def test_env_budget_respected():
         env_extra={"FANFORGE_BUDGET": "3"},
     )
     assert r.returncode == 2  # budget too small: UNKNOWN without FAIL
+
+
+# The exit code and the SHA-256 digests of stdout and stderr of four
+# commands, pinned so that a change meant to keep every byte shows that it
+# does. The verify run covers the reachability search and CONDITIONAL
+# verdicts.
+BYTE_GUARD = [
+    (
+        ("verify", "--checks", "all", "Du[", "Ecto", "F@de?", "Funjw"),
+        2,
+        "fd2f95231bd94103cdb45181dee8d35f913e51fc53791d1d63f4dff536e0a251",
+        "9ecc860a73dc5f19a2b5b552552ad48d8419761110ed94a746cfc7173cf8e768",
+    ),
+    (
+        ("fan", "--edge", "0-4", "--mode", "reachability", "--fan-budget", "500", "HHcEDGU"),
+        0,
+        "6a11ef7521cc9beec410b130303896af342c5526fd2b503f976b5c8bfcf53fc7",
+        "ba4b0fec52f8cf976a506f7fbc13662a4eca370713b8f89a71fd8ebe4761838c",
+    ),
+    (
+        ("tau", "--edge", "0-4", "HHcEDGU", "--color", "3"),
+        0,
+        "9732d3a44fed41865d1227ad7ba35c94975a61ab9b627f1bbdae67adf5b4a374",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ("classify", "Dhc"),
+        0,
+        "262e638903bf45d45457720e75d5fb79e864e04cf9f4582079b14f25e8817e5a",
+        "6f82947c9e5f05b3b3c37e651b2b67f2ba105c15fdefefe0fd876acad663be53",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,code,out_sha,err_sha", BYTE_GUARD,
+                         ids=[case[0][0] for case in BYTE_GUARD])
+def test_cli_bytes_are_unchanged(args, code, out_sha, err_sha):
+    r = run_cli(*args)
+    assert r.returncode == code
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(r.stderr.encode()).hexdigest() == err_sha

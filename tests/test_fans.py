@@ -44,7 +44,6 @@ def test_c5_fan_is_base_only(c5_fixture):
     fan = grow_multifan(g, phi, 0, 1)
     assert fan.sequence == (1,)
     assert check_multifan(g, phi, fan) == []
-    assert fan.context.q == 0
 
 
 def test_fan_requires_uncolored_edge(c5_fixture):

@@ -7,6 +7,7 @@ from fanforge.graphs import (
     complete,
     cycle,
     from_graph6,
+    graph6_lines,
     to_graph6,
 )
 from oracles import decode_graph6_reference, encode_graph6_reference
@@ -39,6 +40,11 @@ def test_round_trip_c5_same_labels():
 def test_header_tolerated():
     g = from_graph6(">>graph6<<D??")
     assert g.n == 5
+
+
+def test_graph6_lines_number_every_line_of_the_stream():
+    lines = [">>graph6<<", " Dhc ", "", "  ", "Bw"]
+    assert list(graph6_lines(lines)) == [(1, "Dhc"), (4, "Bw")]
 
 
 def test_padding_bits_must_be_zero():

@@ -514,3 +514,119 @@ def test_conjecture_fail_not_reverified(monkeypatch, line, budget, cls):
         v = check_conjecture(name, g, budget)
         assert v.status == "FAIL", name
         assert v.detail["reverified_class_two"] is False, name
+
+
+# FAIL branches of the graph-level checks. With the hypothesis gate forced
+# open, each check meets a graph that breaks its conclusion: the first such
+# line of tests/fixtures/connected_n1_7.g6. Each test then re-derives the
+# violated inequality from the graph and the verdict's detail, so a FAIL
+# that names the wrong edge, vertex or count does not pass.
+
+
+def _open_gate(monkeypatch):
+    monkeypatch.setattr(theorems, "_hypothesis_gate", lambda *args, **kwargs: None)
+
+
+def test_val_fail_names_a_vertex_short_of_max_degree_neighbors(monkeypatch):
+    # VAL holds at every critical edge of a class-2 graph, so the open gate
+    # alone cannot make it fail: every edge is declared critical as well.
+    # Ecto is class 2, and its pendant edge 2-5 is not critical.
+    _open_gate(monkeypatch)
+    monkeypatch.setattr(
+        solver.GraphFacts, "critical_edges",
+        lambda self: list(range(len(self.graph.edges))),
+    )
+    g = from_graph6("Ecto")
+    v = check_val(g)
+    assert v.status == "FAIL"
+    x, y = v.detail["edge"]
+    g.edge_id(x, y)  # raises unless xy is an edge
+    a = v.detail["vertex"]
+    assert a in (x, y)
+    b = y if a == x else x
+    prof = degree_profile(g)
+    have = sum(1 for w in g.adjacency[a] if w != b and prof.degrees[w] == prof.delta)
+    need = prof.delta - prof.degrees[b] + 1
+    assert (v.detail["have"], v.detail["need"]) == (have, need)
+    assert have < need
+
+
+def test_parity_fail_carries_the_violating_colors(monkeypatch):
+    # No proper coloring can FAIL here: each color class is a matching, so
+    # n - 2|E_c| vertices miss color c, which has the parity of n. The
+    # report of parity_check is forged, and only the plumbing from that
+    # report to the verdict is tested.
+    _open_gate(monkeypatch)
+    real = theorems.parity_check
+
+    def off_by_one(g, phi):
+        rep = real(g, phi)
+        counts = dict(rep.counts)
+        counts[1] += 1
+        return solver.ParityReport(rep.n, counts, [1])
+
+    monkeypatch.setattr(theorems, "parity_check", off_by_one)
+    g = cycle(5)
+    v = check_parity(g)
+    assert v.status == "FAIL"
+    assert v.detail["violations"] == [1]
+    for c in v.detail["violations"]:
+        assert v.detail["counts"][str(c)] % 2 != g.n % 2
+
+
+def test_s1_adj_fail_names_a_low_vertex_beside_s(monkeypatch):
+    _open_gate(monkeypatch)
+    g = from_graph6("D@s")
+    v = check_theorem("s1-adj", g)
+    assert v.status == "FAIL"
+    prof = degree_profile(g)
+    r, s, bad = v.detail["r"], v.detail["s"], v.detail["vertices"]
+    assert prof.degrees[r] == prof.delta and r in light_vertices(g)
+    assert s in g.adjacency[r] and prof.degrees[s] < prof.delta
+    # the conclusion: every neighbor of s outside N(r) has maximum degree
+    assert bad
+    for x in bad:
+        assert x in g.adjacency[s] and x not in g.adjacency[r]
+        assert prof.degrees[x] != prof.delta
+
+
+def test_longk_fail_names_a_common_neighbor_outside_the_low_neighbors(monkeypatch):
+    _open_gate(monkeypatch)
+    g = from_graph6("E@^W")
+    v = check_theorem("longk", g)
+    assert v.status == "FAIL"
+    prof = degree_profile(g)
+    delta = prof.delta
+    r, s, x, bad = (v.detail[k] for k in ("r", "s", "x", "vertices"))
+    nr = set(g.adjacency[r])
+    assert prof.degrees[r] == delta and r in light_vertices(g)
+    assert s in nr and prof.degrees[s] == delta - 1
+    assert x != r and x not in nr and prof.degrees[x] <= delta - 3
+    # the conclusion: N(x) & N(s) lies among r's neighbors below Delta
+    assert bad
+    for w in bad:
+        assert w in g.adjacency[x] and w in g.adjacency[s]
+        assert w not in nr or prof.degrees[w] == delta
+
+
+def test_longk2_fail_is_an_even_order_under_the_hypotheses(monkeypatch):
+    _open_gate(monkeypatch)
+    g = from_graph6("E?Bw")
+    v = check_theorem("longk2", g)
+    assert v.status == "FAIL"
+    prof = degree_profile(g)
+    assert v.detail["n"] == g.n and g.n % 2 == 0
+    assert 2 * prof.delta > g.n + 2 and prof.core_min_degree <= 2
+
+
+def test_main_fail_is_a_graph_that_is_not_overfull(monkeypatch):
+    _open_gate(monkeypatch)
+    g = from_graph6("D?{")
+    v = check_theorem("main", g)
+    assert v.status == "FAIL"
+    prof = degree_profile(g)
+    n, m, delta = v.detail["n"], v.detail["edges"], v.detail["delta"]
+    assert (n, m, delta) == (g.n, len(g.edges), prof.delta)
+    assert 2 * delta > n + 2 and prof.core_min_degree <= 2
+    # the conclusion: |E| > Delta * floor(n / 2)
+    assert m <= delta * (n // 2)
