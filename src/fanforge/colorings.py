@@ -9,6 +9,15 @@ The edge of color c at v is kept in one flat by-color table of n * k
 entries, `_by_color[v * k + c - 1]`, with -1 where v misses c. Copying a
 coloring is then one list copy, and a Kempe swap flips colors, table
 entries and endpoint masks in place on the copy.
+
+A coloring is never changed once built: only the constructors and the
+copy inside `kempe_swap` write `assignment`, `missing` or `_by_color`.
+So each coloring memoizes `chains(a, b)` per color pair, and a swap's
+result inherits its parent's memo together with the swapped chain; it
+re-walks only the chains a swap can have changed (see `_inherit`).
+Search states are keyed by `packed_key`, an exact int image of the
+coloring; a swap's key is its parent's key XOR a mask of the chain's
+edges.
 """
 
 from __future__ import annotations
@@ -66,7 +75,10 @@ class Chain:
 class PartialEdgeColoring:
     """A proper k-edge-coloring of G minus at most one edge."""
 
-    __slots__ = ("graph", "k", "assignment", "uncolored", "missing", "_by_color")
+    __slots__ = (
+        "graph", "k", "assignment", "uncolored", "missing", "_by_color",
+        "_chains", "_origin",
+    )
 
     def __init__(self, graph: SimpleGraph, k: int):
         if k < 0:
@@ -79,6 +91,10 @@ class PartialEdgeColoring:
         self.missing = [full] * graph.n
         # edge carrying color c at v: _by_color[v * k + c - 1], -1 if none
         self._by_color = [-1] * (graph.n * k)
+        # chains(a, b) by pair (min, max); _origin is (parent memo, chain)
+        # for the result of a swap, None otherwise
+        self._chains: dict = {}
+        self._origin: Optional[tuple[dict, Chain]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -134,6 +150,8 @@ class PartialEdgeColoring:
         new.uncolored = self.uncolored
         new.missing = self.missing.copy()
         new._by_color = self._by_color.copy()
+        new._chains = {}
+        new._origin = None
         return new
 
     # -- queries -----------------------------------------------------------
@@ -217,6 +235,20 @@ class PartialEdgeColoring:
     def signature(self) -> tuple:
         return (self.uncolored, tuple(self.assignment))
 
+    def packed_key(self) -> int:
+        """The coloring as one int: the color of edge e in bits
+        [w*e, w*(e+1)) with w = k.bit_length(), 0 for the uncolored edge.
+
+        At most one edge is uncolored, so two colorings of one graph and
+        palette have equal keys exactly when their signatures are equal.
+        """
+        w = self.k.bit_length()
+        key = 0
+        for e, c in enumerate(self.assignment):
+            if c is not None:
+                key |= c << (w * e)
+        return key
+
     # -- chains ------------------------------------------------------------
 
     def _check_pair(self, a: int, b: int):
@@ -295,20 +327,82 @@ class PartialEdgeColoring:
         """All (a,b)-chains that contain at least one edge, deterministic order.
 
         Chains come in the order of their lowest-id vertex, each listed as
-        `chain_at` at that vertex lists it.
+        `chain_at` at that vertex lists it. The list is memoized per pair
+        and shared with later calls and with swap results: read it, never
+        change it.
         """
+        pair = (a, b) if a < b else (b, a)
+        out = self._chains.get(pair)
+        if out is not None:
+            return out
         self._check_pair(a, b)
+        if self._origin is not None:
+            out = self._inherit(pair)
+        if out is None:
+            out = self._walk_from(range(self.graph.n), a, b)
+        self._chains[pair] = out
+        return out
+
+    def _walk_from(self, vertices: Iterable[int], a: int, b: int) -> list[Chain]:
+        """The (a,b)-chains through the given vertices, in ascending order
+        of vertices, each walked from its first listed vertex."""
         both = (1 << (a - 1)) | (1 << (b - 1))
         missing = self.missing
-        seen = [False] * self.graph.n
+        seen = set()
         out = []
-        for v in range(self.graph.n):
-            if seen[v] or missing[v] & both == both:
+        for v in vertices:
+            if v in seen or missing[v] & both == both:
                 continue
             ch = self._walk(v, a, b)
-            for x in ch.vertices:
-                seen[x] = True
+            seen.update(ch.vertices)
             out.append(ch)
+        return out
+
+    def _inherit(self, pair: tuple[int, int]) -> Optional[list[Chain]]:
+        """The pair's chains from the parent's memo, when it holds them.
+
+        This coloring is the parent with the colors a, b of one chain C
+        interchanged on C's edges. Only edges of C change color, and both
+        ends of each lie in V(C), the set of ends of C's edges, so every
+        vertex outside V(C) sees the same colors on the same edges. Hence,
+        for the pair q:
+        - q = {a, b}: the (a,b)-subgraph keeps its edge set, and `_walk`
+          lists a chain from the edge set and vertex ids alone, not from
+          which color sits on which edge. The parent's list is this one.
+        - q disjoint from {a, b}: no q-colored edge changed. Same list.
+        - q shares one color with {a, b}: a q-chain of the parent that
+          avoids V(C) is still a q-chain here, listed the same way, and
+          every q-chain here that avoids V(C) was one there. The others
+          pass through V(C) and are walked again from its vertices. A
+          path is listed from its lower end whatever vertex the walk
+          starts at, but a cycle is listed from its start, so a cycle is
+          walked again from its lowest vertex, as `chains` would. The two
+          groups merge by lowest vertex, the order of `chains`.
+        When C has at least n/2 edges, most q-chains meet V(C), and sorting
+        out the rest costs more than walking them all: None then, as when
+        the parent's memo lacks q.
+        """
+        memo, swapped = self._origin
+        old = memo.get(pair)
+        if old is None:
+            return None
+        a, b = swapped.colors
+        if (a in pair) == (b in pair):
+            return old
+        if 2 * len(swapped.edges) >= self.graph.n:
+            return None
+        ends = self.graph.edges
+        touched = set()
+        for e in swapped.edges:
+            touched.update(ends[e])
+        out = [ch for ch in old if touched.isdisjoint(ch.vertices)]
+        for ch in self._walk_from(sorted(touched), *pair):
+            if ch.kind == "cycle":
+                low = min(ch.vertices)
+                if low != ch.vertices[0]:
+                    ch = self._walk(low, *pair)
+            out.append(ch)
+        out.sort(key=lambda ch: min(ch.vertices))
         return out
 
     def check_chain_current(self, chain: Chain) -> bool:
@@ -430,6 +524,7 @@ def kempe_swap(phi: PartialEdgeColoring, chain: Chain) -> PartialEdgeColoring:
             raise ColoringError(f"color {c} clashes at edge {e}")
         bc[i] = e
         bc[j] = e
+    new._origin = (phi._chains, chain)
     return new
 
 
@@ -490,8 +585,8 @@ def swap_moves(
 
 @dataclass
 class KempeSearch:
-    """Outcome of `kempe_bfs`. `parents` maps the signature of every state
-    reached to (parent signature, move), with (None, None) for the start."""
+    """Outcome of `kempe_bfs`. `parents` maps the `packed_key` of every
+    state reached to (parent key, move), with (None, None) for the start."""
 
     parents: dict
     expanded: int
@@ -501,7 +596,7 @@ class KempeSearch:
     def path(self) -> list:
         """The moves that lead from the start to `hit`, in order."""
         out = []
-        parent, move = self.parents[self.hit.signature()]
+        parent, move = self.parents[self.hit.packed_key()]
         while move is not None:
             out.append(move)
             parent, move = self.parents[parent]
@@ -514,20 +609,23 @@ def kempe_bfs(
     moves: Callable[[PartialEdgeColoring], Iterable],
     budget: int,
     accept: Optional[Callable[[PartialEdgeColoring], bool]] = None,
-    goal: Optional[Callable[[PartialEdgeColoring], bool]] = None,
+    goal: Optional[Callable[[PartialEdgeColoring, int, int, object], bool]] = None,
 ) -> KempeSearch:
     """Breadth-first search from `start` over the moves `moves(state)` yields.
 
     A move is either a `Chain` of the state, applied by `kempe_swap`, or a
     pair (step, neighbour) for any other recoloring. States are keyed by
-    their exact `signature()`; a swap neighbour's key is read off the
-    state's assignment with the chain flipped, so a neighbour is built only
-    when it is new. Each new state is tested against `goal` (the search
-    stops at the first hit), then enters the frontier if `accept` allows
-    it. At most `budget` states are expanded; `exhausted` is False only
-    when the budget ran out first.
+    their exact `packed_key()`; a swap neighbour's key is the state's key
+    XOR the chain's mask, (a ^ b) << (w * e) over its edges e, so a
+    neighbour is built only when its key is new. Each new state is tested
+    by `goal(state, key, parent_key, move)` (the search stops at the first
+    hit), then enters the frontier if `accept(state)` allows it. At most
+    `budget` states are expanded; `exhausted` is False only when the
+    budget ran out first.
     """
-    key = start.signature()
+    w = start.k.bit_length()
+    units = [1 << (w * e) for e in range(len(start.assignment))]
+    key = start.packed_key()
     parents: dict = {key: (None, None)}
     frontier = deque([(start, key)])
     expanded = 0
@@ -539,20 +637,18 @@ def kempe_bfs(
         for move in moves(state):
             if isinstance(move, Chain):
                 a, b = move.colors
-                colors = list(state.assignment)
-                for e in move.edges:
-                    colors[e] = b if colors[e] == a else a
-                nkey = (state.uncolored, tuple(colors))
+                # the fields do not overlap, so the sum is their union
+                nkey = key ^ (a ^ b) * sum(map(units.__getitem__, move.edges))
                 if nkey in parents:
                     continue
                 nxt = kempe_swap(state, move)
             else:
                 move, nxt = move
-                nkey = nxt.signature()
+                nkey = nxt.packed_key()
                 if nkey in parents:
                     continue
             parents[nkey] = (key, move)
-            if goal is not None and goal(nxt):
+            if goal is not None and goal(nxt, nkey, key, move):
                 return KempeSearch(parents, expanded, True, nxt)
             if accept is None or accept(nxt):
                 frontier.append((nxt, nkey))

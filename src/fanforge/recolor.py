@@ -447,6 +447,50 @@ def _witness_post_ok(
     raise ValueError(item)
 
 
+def _post_verdicts(
+    item: str,
+    phi: PartialEdgeColoring,
+    fan: Multifan,
+    x: int,
+    tau: int,
+    delta: int,
+):
+    """`_witness_post_ok` as a `kempe_bfs` goal for a search from phi.
+
+    For items iii-vii the post-condition reads only the chains of the
+    pairs below and, at s1 and x, whether both colors of such a pair are
+    present, a fact of the pair's subgraph. A swap on a pair that equals
+    each of them or shares no color with it keeps all of that, so the new
+    state takes its parent's verdict instead of a new test. Items i and
+    ii read missing sets and are always tested.
+    """
+    post_pairs = {
+        "iii": ((tau, delta),),
+        "iv": ((tau, delta),),
+        "v": ((tau, delta), (2, tau)),
+        "vi": ((tau, delta),),
+        "vii": ((2, tau),),
+    }.get(item)
+    keeps = set()
+    if post_pairs is not None:
+        keeps = {
+            (a, b)
+            for a, b in combinations(range(1, phi.k + 1), 2)
+            if all((a in p) == (b in p) for p in post_pairs)
+        }
+    post = {phi.packed_key(): _witness_post_ok(item, phi, fan, x, tau, delta)}
+
+    def post_ok(nxt: PartialEdgeColoring, key: int, parent: int, move) -> bool:
+        if isinstance(move, Chain) and move.colors in keeps:
+            verdict = post[parent]
+        else:
+            verdict = _witness_post_ok(item, nxt, fan, x, tau, delta)
+        post[key] = verdict
+        return verdict
+
+    return post_ok
+
+
 def _terminal_root(
     g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan, color: int
 ) -> Optional[str]:
@@ -616,6 +660,35 @@ def _eligible_shift_steps(
     return out
 
 
+def _shift_steps_around(g: SimpleGraph, fan: Multifan):
+    """`_eligible_shift_steps` around one fan, [] where it raises FanError,
+    memoized by what it reads: the colors of the edges at the center and
+    the missing sets of the center and its neighbours, where the fan and
+    every tau-sequence lie. States that agree there share their steps."""
+    r = fan.center
+    around = (r, *g.adjacency[r])
+    at_center = [g.edge_id(r, v) for v in g.adjacency[r]]
+    memo: dict = {}
+
+    def steps(state: PartialEdgeColoring) -> list[ShiftStep]:
+        asg = state.assignment
+        missing = state.missing
+        local = (
+            tuple([asg[e] for e in at_center]),
+            tuple([missing[v] for v in around]),
+        )
+        out = memo.get(local)
+        if out is None:
+            try:
+                out = _eligible_shift_steps(g, state, fan)
+            except FanError:
+                out = []
+            memo[local] = out
+        return out
+
+    return steps
+
+
 def _search_witness(
     item: str,
     g: SimpleGraph,
@@ -637,23 +710,23 @@ def _search_witness(
         if a not in avoid and b not in avoid
     ]
 
+    shift_steps = _shift_steps_around(g, fan)
+
     def moves(state: PartialEdgeColoring):
         yield from swap_moves(state, pairs)
-        try:
-            steps = _eligible_shift_steps(g, state, fan)
-        except FanError:
-            return
-        for step in steps:
+        for step in shift_steps(state):
             try:
                 nxt = shift(state, step.center, step.vertices)
             except (ShiftIneligible, TauError):
                 continue
             yield step, nxt
 
-    def found(nxt: PartialEdgeColoring) -> bool:
-        return at_least_stable(
+    post_ok = _post_verdicts(item, phi, fan, x, tau, delta)
+
+    def found(nxt: PartialEdgeColoring, key: int, parent: int, move) -> bool:
+        return post_ok(nxt, key, parent, move) and at_least_stable(
             stability_class(nxt, phi, fan), want
-        ) and _witness_post_ok(item, nxt, fan, x, tau, delta)
+        )
 
     res = kempe_bfs(phi, moves, budget, goal=found)
     if res.hit is None:
@@ -868,12 +941,16 @@ def shifting_kempe_equivalent(
     from phi to target (e.g. the result of a shifting). Returns
     (swap sequence or None, search exhausted). Whether shiftings are
     always swap-reachable is an open question; this only reports what a
-    bounded search finds on one instance, it claims nothing in general."""
-    want = target.signature()
-    if phi.signature() == want:
+    bounded search finds on one instance, it claims nothing in general.
+    States are compared by `packed_key`, so a target other than phi itself
+    must be colored from phi's palette (ValueError otherwise)."""
+    if phi.signature() == target.signature():
         return [], True
+    if target.k != phi.k:
+        raise ValueError("target is colored from another palette")
+    want = target.packed_key()
     res = kempe_bfs(
-        phi, swap_moves, budget, goal=lambda nxt: nxt.signature() == want
+        phi, swap_moves, budget, goal=lambda nxt, key, parent, move: key == want
     )
     if res.hit is None:
         return None, res.exhausted

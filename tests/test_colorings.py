@@ -180,25 +180,26 @@ def test_serialization_round_trip(c5_fixture):
 
 
 def test_kempe_bfs_reaches_exactly_the_kempe_closure():
-    # K5 minus one edge, 5 colors: the closure is computed independently
-    # by a depth-first sweep over a signature set
+    # K5 minus one edge, 5 colors: the closure is computed independently,
+    # by a depth-first sweep of the reference chains and swaps (so not
+    # through the chain memo) over a signature set
     g = complete(5)
     e = g.edge_id(0, 1)
     phi = next(iter_colorings(g, e, 5))
-    closure = {phi.signature()}
+    closure = {phi.signature(): phi}
     stack = [phi]
     while stack:
         state = stack.pop()
         for a in range(1, 6):
             for b in range(a + 1, 6):
-                for chain in state.chains(a, b):
-                    nxt = kempe_swap(state, chain)
+                for chain in chains_reference(state, a, b):
+                    nxt = kempe_swap_reference(state, chain)
                     if nxt.signature() not in closure:
-                        closure.add(nxt.signature())
+                        closure[nxt.signature()] = nxt
                         stack.append(nxt)
     assert len(closure) > 1
     res = kempe_bfs(phi, swap_moves, budget=len(closure) + 1)
-    assert set(res.parents) == closure
+    assert set(res.parents) == {psi.packed_key() for psi in closure.values()}
     assert res.expanded == len(closure)
     assert res.exhausted and res.hit is None
     cut = kempe_bfs(phi, swap_moves, budget=1)
@@ -349,6 +350,11 @@ def test_chain_kernel_equals_reference_on_random_graphs(g, data):
     delta = max((g.degree(v) for v in range(g.n)), default=0)
     e = data.draw(st.sampled_from(range(len(g.edges)))) if g.edges else None
     for k in (delta, delta + 1):
+        if len(g.edges) - 1 > k * (g.n // 2):
+            # G - e is overfull, so it has no k-coloring, and the
+            # enumeration, with no symmetry break, would have to exhaust
+            # the space to show it (K9 with k = 8 runs for minutes)
+            continue
         for phi in islice(iter_colorings(g, e, k), 3):
             _assert_kernel_matches_reference(phi)
             _assert_cut_chains_rejected(phi)
@@ -384,6 +390,101 @@ def test_chain_kernel_equals_reference_on_leaf_padded_gadgets(shape):
     g, phi = leaf_padded_gadget(*shape)
     _assert_kernel_matches_reference(phi)
     _assert_cut_chains_rejected(phi)
+
+
+def _walk_checking_chain_memo(phi, data, steps=6):
+    """A random swap walk from phi on which every state's `chains` equals
+    the reference on every pair. Each state checks its pairs in a drawn
+    order, part of them only after its child is built, so a child meets
+    a parent memo that holds some pairs and lacks others."""
+    k = phi.k
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+
+    def check(state, pair):
+        a, b = pair if data.draw(st.booleans()) else pair[::-1]
+        assert state.chains(a, b) == chains_reference(state, a, b)
+
+    state = phi
+    for _ in range(steps):
+        order = data.draw(st.permutations(pairs))
+        cut = data.draw(st.integers(0, len(order)))
+        for pair in order[:cut]:
+            check(state, pair)
+        # moves from the reference, so picking one fills no memo
+        moves = [ch for a, b in pairs for ch in chains_reference(state, a, b)]
+        child = None
+        if moves:
+            child = kempe_swap(state, moves[data.draw(st.integers(0, len(moves) - 1))])
+        for pair in order[cut:]:
+            check(state, pair)
+        if child is None:
+            return
+        state = child
+    for pair in pairs:
+        check(state, pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gadget_spokes(), st.data())
+def test_chain_memo_equals_reference_along_swap_walks_on_gadgets(shape, data):
+    _, phi = leaf_padded_gadget(*shape)
+    _walk_checking_chain_memo(phi, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chain_memo_equals_reference_along_swap_walks_from_enumerated_colorings(
+    fixture_lines, data
+):
+    g = from_graph6(data.draw(st.sampled_from(fixture_lines)))
+    if not g.edges:
+        return
+    e = data.draw(st.sampled_from(range(len(g.edges))))
+    delta = max(g.degree(v) for v in range(g.n))
+    k = delta + data.draw(st.integers(0, 1))
+    if len(g.edges) - 1 > k * (g.n // 2):
+        return
+    states = list(islice(iter_colorings(g, e, k), 3))
+    if states:
+        _walk_checking_chain_memo(data.draw(st.sampled_from(states)), data)
+
+
+def test_chain_memo_lists_a_cycle_from_its_lowest_vertex():
+    # the (1,2)-swap on the path 4-2-3 closes the (1,3)-cycle 0-1-2-3,
+    # whose lowest vertex 0 lies off the swapped chain
+    colors = {(0, 1): 1, (1, 2): 3, (2, 3): 2, (0, 3): 3, (2, 4): 1}
+    g = SimpleGraph(5, list(colors))
+    phi = PartialEdgeColoring.from_assignment(g, 3, [colors[e] for e in g.edges])
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        assert phi.chains(a, b) == chains_reference(phi, a, b)
+    swapped = phi.chain_at(4, 1, 2)
+    assert swapped.vertices == (3, 2, 4)
+    child = kempe_swap(phi, swapped)
+    (cyc,) = child.chains(1, 3)
+    assert cyc.kind == "cycle" and cyc.vertices == (0, 1, 2, 3)
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        assert child.chains(a, b) == chains_reference(child, a, b)
+
+
+def test_packed_keys_are_equal_exactly_when_signatures_are_equal():
+    # every state of a search, and every coloring of K4 minus each edge
+    # in turn and of K4 itself, so the uncolored edge varies too
+    g, phi = leaf_padded_gadget(5, [(3, 4), (4, 3)])
+    states = [phi]
+
+    def keep(nxt):
+        states.append(nxt)
+        return True
+
+    res = kempe_bfs(phi, swap_moves, budget=300, accept=keep)
+    assert {psi.packed_key() for psi in states} == set(res.parents)
+    k4 = complete(4)
+    for e in (None, *range(len(k4.edges))):
+        states += iter_colorings(k4, e, 3) if e is None else iter_colorings(k4, e, 4)
+    sigs = {(psi.graph.n, psi.signature()) for psi in states}
+    keys = {(psi.graph.n, psi.packed_key()) for psi in states}
+    pairs = {(psi.graph.n, psi.signature(), psi.packed_key()) for psi in states}
+    assert len(sigs) == len(keys) == len(pairs)
 
 
 def test_cut_path_prefix_raises_and_leaves_source_unchanged():

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from conftest import leaf_padded_gadget
-from fanforge.colorings import PartialEdgeColoring
+from oracles import chains_reference
+from fanforge.colorings import PartialEdgeColoring, kempe_bfs, kempe_swap, swap_moves
 from fanforge.fans import grow_multifan, normalize_typical, stability_class
 from fanforge.graphs import (
     complete,
@@ -11,6 +15,10 @@ from fanforge.graphs import (
     light_vertices,
 )
 from fanforge.recolor import (
+    _eligible_shift_steps,
+    _shift_steps_around,
+    _post_verdicts,
+    _witness_post_ok,
     MaximalityViolation,
     RelabelStep,
     ShiftIneligible,
@@ -26,6 +34,7 @@ from fanforge.recolor import (
     is_avoiding,
     relabel,
     shift,
+    shifting_kempe_equivalent,
     shifting_kind,
     tau_sequence_by_definition,
     unlink_via_shifting,
@@ -178,6 +187,25 @@ def test_b_shift_moves_center_missing(type_b1):
 def test_empty_shift_is_identity(type_b1):
     g, phi, fan = type_b1
     assert shift(phi, fan.center, []).signature() == phi.signature()
+
+
+def test_shift_child_walks_its_own_chains(type_ac):
+    # a shift recolors spokes of several color pairs at once, so its
+    # result must not take chains from the memo of the coloring it came from
+    g, phi, fan = type_ac
+    pairs = [(a, b) for a in range(1, phi.k + 1) for b in range(a + 1, phi.k + 1)]
+    for a, b in pairs:
+        phi.chains(a, b)
+    shifted = [
+        apply_shifting(phi, fan, ts)[0]
+        for ts in all_tau_sequences(g, phi, fan)
+        if shifting_kind(ts, phi) is not None
+    ]
+    assert shifted
+    for psi in shifted:
+        assert psi.signature() != phi.signature()
+        for a, b in pairs:
+            assert psi.chains(a, b) == chains_reference(psi, a, b)
 
 
 def test_shift_rejected_atomically(type_b2):
@@ -416,6 +444,17 @@ def test_shifting_kempe_equivalent_identity(type_b1):
     assert shifting_kempe_equivalent(phi, phi) == ([], True)
 
 
+def test_shifting_kempe_equivalent_needs_one_palette(type_b1):
+    # packed keys of two palettes are not comparable
+    g, phi, _ = type_b1
+    wide = PartialEdgeColoring.from_assignment(
+        g, phi.k + 1, list(phi.assignment), uncolored=phi.uncolored
+    )
+    swapped = kempe_swap(phi, phi.chains(1, 3)[0])
+    with pytest.raises(ValueError):
+        shifting_kempe_equivalent(swapped, wide)
+
+
 def test_shifting_kempe_equivalent_unreachable(c5_fixture):
     # swaps never move the uncolored edge, so a target with another
     # uncolored edge lies outside the (finite) closure
@@ -476,3 +515,107 @@ def test_witness_item_v_transparent_on_uncertified_fan(type_b2):
             assert "reason" in res.detail
     assert "UNKNOWN" in statuses.values()
     assert "WITNESS" in statuses.values()
+
+
+# The witness-sweep gadget family (Delta 4-6, tau types A, B and C), with
+# the SHA-256 prefix of every `witness_tau_item` result and every
+# `shifting_kempe_equivalent` path on it, per search budget. The CLI shows
+# only witness counts, so these pin the BFS order and the transcripts it
+# yields.
+SEARCH_DIGESTS = [
+    (4, [(3, 1)], 200, 62, "354f01f8eb521863"),
+    (4, [(3, 1)], 2000, 62, "354f01f8eb521863"),
+    (4, [(3, 2)], 200, 61, "b4cfc1e4de322966"),
+    (4, [(3, 2)], 2000, 61, "b4cfc1e4de322966"),
+    (5, [(3, 4), (4, 3)], 200, 222, "9cdc5ce4536ab7a7"),
+    (5, [(3, 4), (4, 3)], 2000, 222, "06e9be93abab6fcd"),
+    (5, [(3, 1), (4, 3)], 200, 219, "e0a033ab77de7b3a"),
+    (5, [(3, 1), (4, 3)], 2000, 219, "d5de536875e987ef"),
+    (6, [(3, 4), (4, 3), (5, 3)], 200, 512, "beef1831e3df35a5"),
+    (6, [(3, 4), (4, 3), (5, 3)], 2000, 512, "88555026d0fcda6a"),
+]
+
+
+@pytest.mark.parametrize("delta,spokes,budget,count,digest", SEARCH_DIGESTS)
+def test_search_results_are_pinned(delta, spokes, budget, count, digest):
+    g, phi = leaf_padded_gadget(delta, spokes)
+    phi, fan = normalized(g, phi)
+    fanmiss = fan_missing_union(phi, fan)
+    closed = set(g.adjacency[fan.center]) | {fan.center}
+    h = hashlib.sha256()
+    seen = 0
+    for tau in range(1, phi.k + 1):
+        if tau in fanmiss:
+            continue
+        for x in range(g.n):
+            if x in closed or not (phi.misses(x, tau) or phi.misses(x, delta)):
+                continue
+            for item in WITNESS_ITEMS:
+                if item in ("i", "ii", "vii") and not phi.misses(x, tau):
+                    continue
+                res = witness_tau_item(
+                    item, g, phi, fan, x, tau,
+                    search_budget=budget, maximum_status="LOWER-BOUND",
+                )
+                h.update(json.dumps(res.to_json(), sort_keys=True).encode())
+                seen += 1
+    for ts in all_tau_sequences(g, phi, fan):
+        if shifting_kind(ts, phi) is None:
+            continue
+        shifted, _ = apply_shifting(phi, fan, ts)
+        steps, exhausted = shifting_kempe_equivalent(phi, shifted, budget=budget)
+        path = None if steps is None else [s.to_json() for s in steps]
+        h.update(json.dumps([path, exhausted]).encode())
+        seen += 1
+    assert seen == count
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("delta,spokes", [(5, [(3, 4), (4, 3)]), (5, [(3, 1), (4, 3)])])
+def test_post_verdicts_equal_a_fresh_test_on_every_state(delta, spokes):
+    # swaps on every pair, not only the avoidance-respecting ones, so that
+    # pairs sharing one color with a post-condition pair come up too
+    g, phi = leaf_padded_gadget(delta, spokes)
+    phi, fan = normalized(g, phi)
+    fanmiss = fan_missing_union(phi, fan)
+    closed = set(g.adjacency[fan.center]) | {fan.center}
+    searched = 0
+    for tau in range(1, phi.k + 1):
+        if tau in fanmiss:
+            continue
+        for x in range(g.n):
+            if x in closed or not (phi.misses(x, tau) or phi.misses(x, delta)):
+                continue
+            for item in ("iii", "iv", "v", "vi", "vii"):
+                verdicts = _post_verdicts(item, phi, fan, x, tau, delta)
+
+                def goal(nxt, key, parent, move):
+                    fresh = _witness_post_ok(item, nxt, fan, x, tau, delta)
+                    assert verdicts(nxt, key, parent, move) == fresh
+                    return False
+
+                kempe_bfs(phi, swap_moves, budget=12, goal=goal)
+                searched += 1
+    assert searched
+
+
+def test_shift_steps_around_the_center_equal_fresh_ones(type_ac):
+    # over swaps on every pair and the shiftings themselves, so that both
+    # the spoke colors and the missing sets around the center vary
+    g, phi, fan = type_ac
+    steps = _shift_steps_around(g, fan)
+
+    def moves(state):
+        yield from swap_moves(state)
+        for step in steps(state):
+            yield step, shift(state, step.center, step.vertices)
+
+    checked = []
+
+    def goal(nxt, key, parent, move):
+        assert steps(nxt) == _eligible_shift_steps(g, nxt, fan)
+        checked.append(isinstance(move, ShiftStep))
+        return False
+
+    kempe_bfs(phi, moves, budget=60, goal=goal)
+    assert True in checked and False in checked
