@@ -15,12 +15,14 @@ from typing import Optional
 
 from .fans import (
     FanError,
+    fan_missing_union,
     inducing_map,
     normalize_typical,
     search_maximum_multifan,
 )
 from .graphs import (
     Graph6Error,
+    SimpleGraph,
     degree_profile,
     from_graph6,
     graph6_lines,
@@ -32,7 +34,6 @@ from .recolor import (
     TauError,
     all_tau_sequences,
     build_tau_sequence,
-    fan_missing_union,
     shifting_kind,
     verify_rs1_linkage,
 )
@@ -177,22 +178,31 @@ def cmd_verify(args) -> int:
     return exit_code(summary)
 
 
-def cmd_fan(args) -> int:
+def _edge_graph(args) -> Optional[SimpleGraph]:
+    """The one input graph of `fan` or `tau`, once it parses and holds
+    --edge; else None, with the reason printed."""
     lines = _read_graphs(args)
     if len(lines) != 1:
-        print("fan expects exactly one graph", file=sys.stderr)
-        return OP_ERROR
+        print(f"{args.command} expects exactly one graph", file=sys.stderr)
+        return None
     try:
         g = from_graph6(lines[0])
     except Graph6Error as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return OP_ERROR
-    r, s1 = args.edge
+        return None
     try:
-        e = g.edge_id(r, s1)
+        g.edge_id(*args.edge)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return None
+    return g
+
+
+def cmd_fan(args) -> int:
+    g = _edge_graph(args)
+    if g is None:
         return OP_ERROR
+    r, s1 = args.edge
     if args.mode == "exhaustive" and g.n >= 10 and not args.force:
         print(
             "exhaustive enumeration on n >= 10 can explode; use --mode "
@@ -247,21 +257,10 @@ def cmd_fan(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    lines = _read_graphs(args)
-    if len(lines) != 1:
-        print("tau expects exactly one graph", file=sys.stderr)
-        return OP_ERROR
-    try:
-        g = from_graph6(lines[0])
-    except Graph6Error as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    g = _edge_graph(args)
+    if g is None:
         return OP_ERROR
     r, s1 = args.edge
-    try:
-        g.edge_id(r, s1)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return OP_ERROR
     try:
         res = search_maximum_multifan(
             g, r, s1, mode=args.mode, budget=args.fan_budget

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import verdicts as V
 from .colorings import (
@@ -23,7 +23,7 @@ from .colorings import (
     swap_moves,
 )
 from .graphs import SimpleGraph, degree_profile, light_vertices
-from .solver import BudgetExceeded, graph_facts, iter_colorings
+from .solver import BudgetExceeded, ColoringSpace, graph_facts
 
 
 class FanError(ValueError):
@@ -72,6 +72,14 @@ class Multifan:
                 "delta_inducing": list(self.typical.delta_inducing),
             }
         return d
+
+
+def fan_missing_union(phi: PartialEdgeColoring, fan: Multifan) -> set[int]:
+    """The colors missing at some vertex of V(F) under phi."""
+    out: set[int] = set()
+    for v in fan.vertex_set():
+        out.update(phi.missing_at(v))
+    return out
 
 
 @dataclass
@@ -377,43 +385,6 @@ class MaxFanResult:
     status: str  # "EXACT" | "LOWER-BOUND"
     explored: int
 
-    @property
-    def exact(self) -> bool:
-        return self.status == "EXACT"
-
-
-def maximum_multifan_over(
-    g: SimpleGraph,
-    r: int,
-    s1: int,
-    colorings: Iterable[PartialEdgeColoring],
-    budget: Optional[int] = None,
-) -> MaxFanResult:
-    """The first largest multifan at r from rs1 over `colorings`, in order.
-
-    At most `budget` colorings are examined (all when None); the result is
-    EXACT when every supplied coloring was examined, else LOWER-BOUND.
-    """
-    best_phi = best_fan = None
-    explored = 0
-    capped = False
-    for phi in colorings:
-        if budget is not None and explored >= budget:
-            capped = True
-            break
-        explored += 1
-        fan = grow_multifan(g, phi, r, s1)
-        if best_fan is None or fan.size() > best_fan.size():
-            best_phi, best_fan = phi, fan
-    if best_fan is None:
-        raise FanError(
-            f"budget {budget} examines no coloring" if capped
-            else "no colorings to search"
-        )
-    return MaxFanResult(
-        best_phi, best_fan, "LOWER-BOUND" if capped else "EXACT", explored
-    )
-
 
 def search_maximum_multifan(
     g: SimpleGraph,
@@ -421,28 +392,41 @@ def search_maximum_multifan(
     s1: int,
     mode: str = "exhaustive",
     budget: int = 10_000,
-    phi0: Optional[PartialEdgeColoring] = None,
-    k: Optional[int] = None,
+    space: Optional[ColoringSpace] = None,
 ) -> MaxFanResult:
     """Largest |V(F)| over colorings of G - rs1; `budget` bounds the work.
 
-    exhaustive: examine the colorings in enumeration order, at most
-    `budget` of them (EXACT when that covers them all). reachability: BFS
-    from phi0 over single Kempe swaps touching the current fan's colors,
-    at most `budget` expansions, states keyed exactly (`kempe_bfs`);
-    always LOWER-BOUND.
+    `space` is the coloring space of G - rs1 at Delta colors, built when
+    None. exhaustive: the first largest fan over `space.prefix(budget)`,
+    in enumeration order; EXACT when that prefix is the whole space, else
+    LOWER-BOUND. reachability: BFS from the space's first coloring over
+    single Kempe swaps touching the current fan's colors, at most `budget`
+    expansions, states keyed exactly (`kempe_bfs`); always LOWER-BOUND.
+    `explored` counts the colorings examined or the expansions made.
     """
-    e = g.edge_id(r, s1)
-    if k is None:
-        k = degree_profile(g).delta
-    if mode == "exhaustive":
-        return maximum_multifan_over(g, r, s1, iter_colorings(g, e, k), budget)
-    if mode != "reachability":
+    if mode not in ("exhaustive", "reachability"):
         raise ValueError(f"unknown mode {mode!r}")
-    if phi0 is None:
-        phi0 = next(iter_colorings(g, e, k), None)
-        if phi0 is None:
-            raise FanError("no colorings to search")
+    k = degree_profile(g).delta
+    if space is None:
+        space = ColoringSpace(g, g.edge_id(r, s1), k)
+    if mode == "exhaustive":
+        en = space.prefix(budget)
+        if not en.colorings:
+            raise FanError(
+                f"budget {budget} examines no coloring" if en.truncated
+                else "no colorings to search"
+            )
+        best_phi = best_fan = None
+        for phi in en.colorings:
+            fan = grow_multifan(g, phi, r, s1)
+            if best_fan is None or fan.size() > best_fan.size():
+                best_phi, best_fan = phi, fan
+        status = "LOWER-BOUND" if en.truncated else "EXACT"
+        return MaxFanResult(best_phi, best_fan, status, len(en.colorings))
+    first = space.prefix(1).colorings
+    if not first:
+        raise FanError("no colorings to search")
+    phi0 = first[0]
     best_fan = grow_multifan(g, phi0, r, s1)
     best_phi = phi0
 
@@ -821,7 +805,7 @@ def verify_stable_swaps(
     delta = degree_profile(g).delta
     imap = inducing_map(g, phi, fan)
     vs = set(fan.vertex_set())
-    fan_missing = sorted(set(c for v in fan.vertex_set() for c in phi.missing_at(v)))
+    fan_missing = sorted(fan_missing_union(phi, fan))
     checked = 0
     for x in range(g.n):
         if x in vs:
@@ -869,7 +853,7 @@ def verify_vf_stable_swaps(
     delta = degree_profile(g).delta
     imap = inducing_map(g, phi, fan)
     vs = set(fan.vertex_set())
-    fan_missing = sorted(set(c for v in fan.vertex_set() for c in phi.missing_at(v)))
+    fan_missing = sorted(fan_missing_union(phi, fan))
     checked = 0
     for x in range(g.n):
         if x in vs:

@@ -30,6 +30,7 @@ from .fans import (
     FanError,
     Multifan,
     at_least_stable,
+    fan_missing_union,
     inducing_map,
     stability_class,
 )
@@ -188,13 +189,6 @@ class TauSequence:
         if self.repeat_index is not None:
             d["repeat_index"] = self.repeat_index
         return d
-
-
-def fan_missing_union(phi: PartialEdgeColoring, fan: Multifan) -> set[int]:
-    out: set[int] = set()
-    for v in fan.vertex_set():
-        out.update(phi.missing_at(v))
-    return out
 
 
 def build_tau_sequence(

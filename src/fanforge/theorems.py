@@ -20,9 +20,9 @@ from .fans import (
     MaxFanResult,
     Multifan,
     _hypothesis_gate,
+    fan_missing_union,
     grow_kierstead_path,
     grow_multifan,
-    maximum_multifan_over,
     normalize_typical,
     search_maximum_multifan,
     stability_class,
@@ -45,7 +45,6 @@ from .recolor import (
     TauError,
     WITNESS_ITEMS,
     build_tau_sequence,
-    fan_missing_union,
     is_avoiding,
     tau_sequence_by_definition,
     verify_rs1_linkage,
@@ -141,44 +140,22 @@ def _fan_stable_reachable(
     return out, expanded
 
 
-def grow_pfan(
-    g: SimpleGraph,
-    r: int,
-    s1: int,
-    budget: int = 200,
-    fan_budget: int = 50_000,
-    space: Optional[ColoringSpace] = None,
-    exact: Optional[MaxFanResult] = None,
-) -> PFan:
-    """Extend a maximum multifan at a light max-degree center by
+def grow_pfan(g: SimpleGraph, base: MaxFanResult, budget: int = 200) -> PFan:
+    """Extend the maximum multifan `base` at a light max-degree center by
     (Delta-1)-neighbors whose missing colors stay disjoint from the rest
-    under every explored fan-stable coloring.
+    under every fan-stable coloring reached within `budget` expansions.
 
-    The base fan is exhaustive over the colorings of G - rs1 when there
-    are at most fan_budget + 1 of them, else a reachability search of
-    `budget` expansions. `space` is that coloring space when the caller
-    already holds it, and `exact` the exhaustive result for (r, s1) over
-    it, reused instead of searching again.
+    `base` carries a typical fan (`normalize_typical`); the lemma suite
+    passes the one maximum fan it found for the orientation, so the
+    pseudo-fan extends the fan every other check of that orientation
+    reads.
     """
-    prof = degree_profile(g)
-    delta = prof.delta
-    if prof.degrees[s1] != delta - 1:
-        raise FanError("pseudo-fan spokes must have degree Delta-1")
-    if space is None:
-        space = ColoringSpace(g, g.edge_id(r, s1), delta)
-    en = space.prefix(fan_budget + 1)
-    if not en.truncated:
-        base = exact if exact is not None else maximum_multifan_over(
-            g, r, s1, en.colorings
-        )
-    else:
-        base = search_maximum_multifan(
-            g, r, s1, mode="reachability", budget=budget,
-            phi0=en.colorings[0],
-        )
-    norm = normalize_typical(g, base.phi, base.fan)
-    base = MaxFanResult(norm.phi, norm.fan, base.status, base.explored)
     phi, fan = base.phi, base.fan
+    prof = degree_profile(g)
+    if prof.degrees[fan.sequence[0]] != prof.delta - 1:
+        raise FanError("pseudo-fan spokes must have degree Delta-1")
+    if fan.typical is None:
+        raise FanError("base fan is not typical")
     if budget > 0:
         reached, expanded = _fan_stable_reachable(g, phi, fan, budget)
         p2 = "VERIFIED-WITHIN-BUDGET"
@@ -645,15 +622,13 @@ def normalize_checks(spec: str | Sequence[str]) -> tuple[str, ...]:
 
 
 def _max_fan_for(g, r, s1, cfg, space: ColoringSpace) -> MaxFanResult:
-    """Exhaustive over `space` (the colorings of G - rs1) when it holds at
-    most fan_budget + 1 colorings, else a reachability search from its
-    first coloring."""
-    en = space.prefix(cfg.fan_budget + 1)
-    if not en.truncated:
-        return maximum_multifan_over(g, r, s1, en.colorings)
-    return search_maximum_multifan(
-        g, r, s1, mode="reachability", budget=cfg.fan_budget, phi0=en.colorings[0]
-    )
+    """The lemma suite's maximum fan at r from rs1: exhaustive over `space`
+    (the colorings of G - rs1) when it holds at most fan_budget + 1
+    colorings, else a reachability search of fan_budget expansions from
+    its first coloring."""
+    if space.prefix(cfg.fan_budget + 1).truncated:
+        return search_maximum_multifan(g, r, s1, "reachability", cfg.fan_budget, space)
+    return search_maximum_multifan(g, r, s1, "exhaustive", cfg.fan_budget + 1, space)
 
 
 def _note(out: dict, names: Iterable[str], status: str, reason: str) -> None:
@@ -744,14 +719,16 @@ def run_lemma_suite(
                             )
             if maxres is None:
                 continue
-            mphi, mfan = maxres.phi, maxres.fan
+            # one normalized maximum fan per orientation: every check below
+            # reads it, the pseudo-fan included
             try:
-                nf = normalize_typical(g, mphi, mfan)
-                mphi, mfan = nf.phi, nf.fan
+                nf = normalize_typical(g, maxres.phi, maxres.fan)
             except FanError as exc:
                 _note(out, max_checks, V.INAPPLICABLE,
                       f"maximum fan not normalizable: {exc}")
                 continue
+            maxres = MaxFanResult(nf.phi, nf.fan, maxres.status, maxres.explored)
+            mphi, mfan = maxres.phi, maxres.fan
             if "rs1-linkage" in want:
                 out["rs1-linkage"].append(
                     verify_rs1_linkage(g, mphi, mfan, maximum_status=maxres.status)
@@ -769,11 +746,7 @@ def run_lemma_suite(
                       "center is not a max-degree vertex")
             elif pfan_checks:
                 try:
-                    pf = grow_pfan(
-                        g, r, s1, budget=cfg.fan_budget // 10,
-                        fan_budget=cfg.fan_budget, space=space,
-                        exact=maxres if maxres.exact else None,
-                    )
+                    pf = grow_pfan(g, maxres, cfg.fan_budget // 10)
                 except FanError as exc:
                     _note(out, pfan_checks, V.INAPPLICABLE,
                           f"pseudo-fan not constructible: {exc}")

@@ -29,7 +29,7 @@ from fanforge.graphs import (
     petersen,
     star,
 )
-from fanforge.solver import enumerate_colorings, iter_colorings
+from fanforge.solver import ColoringSpace, enumerate_colorings, iter_colorings
 
 
 def k5e_instance():
@@ -178,7 +178,8 @@ def test_search_exhaustive_budget_bounds_the_colorings_examined(c5_fixture):
 
 def test_search_reachability_budget_zero(c5_fixture):
     g, phi = c5_fixture
-    res = search_maximum_multifan(g, 0, 1, mode="reachability", budget=0, phi0=phi)
+    space = ColoringSpace(g, g.edge_id(0, 1), 2)
+    res = search_maximum_multifan(g, 0, 1, mode="reachability", budget=0, space=space)
     assert res.status == "LOWER-BOUND"
     assert res.fan.size() == 2
 

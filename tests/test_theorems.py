@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,9 +86,16 @@ def test_parity_check_verdict():
     assert check_parity(complete(7)).status == "PASS"
 
 
+def _typical_max_fan(g, r, s1, mode, budget):
+    res = fans.search_maximum_multifan(g, r, s1, mode, budget)
+    nf = fans.normalize_typical(g, res.phi, res.fan)
+    return fans.MaxFanResult(nf.phi, nf.fan, res.status, res.explored)
+
+
 def test_grow_pfan_empty_extension():
     # a maximum multifan is always a pseudo-fan
-    pf = grow_pfan(PM, 0, 4, budget=30)
+    base = _typical_max_fan(PM, 0, 4, "exhaustive", 50_001)
+    pf = grow_pfan(PM, base, budget=30)
     assert pf.base.status == "EXACT"
     assert pf.p2_status == "VERIFIED-WITHIN-BUDGET"
     v = verify_pfan_properties(PM, pf, critical=True, class_two=True)
@@ -97,15 +105,26 @@ def test_grow_pfan_empty_extension():
 
 
 def test_grow_pfan_budget_zero_unknown():
-    pf = grow_pfan(PM, 0, 4, budget=0)
+    base = _typical_max_fan(PM, 0, 4, "exhaustive", 50_001)
+    pf = grow_pfan(PM, base, budget=0)
     assert pf.p2_status == "UNKNOWN"
 
 
 def test_pfan_requires_low_degree_spoke():
     from fanforge.fans import FanError
 
-    with pytest.raises(FanError):
-        grow_pfan(PM, 0, 6)  # s1 has maximum degree
+    # s1 has maximum degree, so normalize_typical refuses this fan too;
+    # the unnormalized base reaches grow_pfan's own degree test
+    base = fans.search_maximum_multifan(PM, 0, 6, "exhaustive", 50_001)
+    with pytest.raises(FanError, match="Delta-1"):
+        grow_pfan(PM, base)
+
+
+def test_grow_pfan_requires_a_typical_base():
+    base = fans.search_maximum_multifan(PM, 0, 4, "exhaustive", 50_001)
+    assert base.fan.typical is None
+    with pytest.raises(fans.FanError, match="not typical"):
+        grow_pfan(PM, base)
 
 
 @pytest.mark.parametrize("fan_budget", [2000, 5])
@@ -120,11 +139,62 @@ def test_lemma_suite_enumerates_each_critical_edge_once(monkeypatch, fan_budget)
         return real(g, e, k)
 
     monkeypatch.setattr(solver, "iter_colorings", counting)
-    monkeypatch.setattr(fans, "iter_colorings", counting)
     cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=fan_budget)
     out = run_lemma_suite(PM, cfg, LEMMA_CHECKS)
     assert any(v.status != "INAPPLICABLE" for v in out["pfan"])
     assert starts and len(starts) == len(set(starts))
+
+
+def test_lemma_suite_searches_one_maximum_fan_per_orientation(monkeypatch):
+    # fan_budget 5 sends every space of PM to the reachability search; the
+    # pseudo-fan at a max-degree center reads the suite's fan, not its own
+    searches = Counter()
+    real = fans.search_maximum_multifan
+
+    def counting(g, r, s1, mode="exhaustive", *args, **kwargs):
+        searches[(r, s1, mode)] += 1
+        return real(g, r, s1, mode, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "search_maximum_multifan", counting)
+    cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=5)
+    out = run_lemma_suite(PM, cfg, LEMMA_CHECKS)
+    assert any(v.status != "INAPPLICABLE" for v in out["pfan"])
+    prof = degree_profile(PM)
+    oriented = [
+        (r, s1)
+        for e in solver.graph_facts(PM).critical_edges()
+        for r, s1 in (PM.endpoints(e), PM.endpoints(e)[::-1])
+        if r in light_vertices(PM) and prof.degrees[s1] == prof.delta - 1
+    ]
+    assert oriented
+    assert searches == Counter({(r, s1, "reachability"): 1 for r, s1 in oriented})
+
+
+def test_pfan_extends_the_fan_rs1_linkage_reads(monkeypatch):
+    # at fan_budget 50 the spaces of F~z^w take the reachability branch,
+    # where a pseudo-fan with its own smaller search would start elsewhere
+    g = from_graph6("F~z^w")
+    linkage_read = {}
+    pfan_bases = []
+    real_linkage = theorems.verify_rs1_linkage
+    real_pfan = theorems.verify_pfan_properties
+
+    def linkage(g, phi, fan, *args, **kwargs):
+        linkage_read[(fan.center, fan.sequence[0])] = (phi.to_line(), fan.to_json())
+        return real_linkage(g, phi, fan, *args, **kwargs)
+
+    def pfan(g, pf, *args, **kwargs):
+        pfan_bases.append(pf.base)
+        return real_pfan(g, pf, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "verify_rs1_linkage", linkage)
+    monkeypatch.setattr(theorems, "verify_pfan_properties", pfan)
+    cfg = ScanConfig(checks=("rs1-linkage", "pfan"), fan_budget=50)
+    run_lemma_suite(g, cfg, cfg.checks)
+    assert pfan_bases
+    for base in pfan_bases:
+        key = (base.fan.center, base.fan.sequence[0])
+        assert linkage_read[key] == (base.phi.to_line(), base.fan.to_json())
 
 
 def test_degree_facts_are_computed_once_per_graph():
@@ -270,7 +340,9 @@ def test_pfan_extension_accepts_on_scan_instance():
     # a 9-vertex critical graph whose center keeps two spokes out of the
     # fan; both extend (elementarity holds across the explored space)
     g = from_graph6("HsRjpu{")
-    pf = grow_pfan(g, 6, 7, budget=60, fan_budget=3000)
+    # G - rs1 has 13,920 colorings, so the base comes from a reachability
+    # search
+    pf = grow_pfan(g, _typical_max_fan(g, 6, 7, "reachability", 60), budget=60)
     assert set(pf.extension) == {1, 3}
     assert pf.pruned == []
     assert pf.p2_status == "VERIFIED-WITHIN-BUDGET"
@@ -335,7 +407,7 @@ def test_pfan_violation_downgrades_without_certified_maximum():
     # exhaustive maximum: the base fan stays LOWER-BOUND, so a violated
     # conclusion reads CONDITIONAL, not FAIL
     g = from_graph6("F}qzw")
-    pf = grow_pfan(g, 0, 2, budget=200, fan_budget=2000)
+    pf = grow_pfan(g, _typical_max_fan(g, 0, 2, "reachability", 200), budget=200)
     assert pf.base.status == "LOWER-BOUND"
     res = verify_pfan_properties(g, pf, critical=True, class_two=True)
     assert res.status in ("PASS", "CONDITIONAL")
