@@ -393,7 +393,12 @@ def _range_error(args) -> Optional[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # FANFORGE_BUDGET is not a node budget
+        print(exc, file=sys.stderr)
+        return OP_ERROR
+    args = parser.parse_args(argv)
     bad = _range_error(args)
     if bad is not None:
         print(bad, file=sys.stderr)

@@ -26,12 +26,15 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Container, Iterator, Optional
+from math import perm
+from typing import Container, Generator, Iterator, Optional
 
 from .colorings import PartialEdgeColoring
 from .graphs import SimpleGraph, degree_profile, delete_edge
 
 DEFAULT_NODE_BUDGET = 10**8
+# the node budget of the enumerations, which no search exhausts
+_UNBOUNDED = 1 << 62
 
 
 class BudgetExceeded(Exception):
@@ -43,13 +46,18 @@ class EmptyGraphError(ValueError):
 
 
 def node_budget_default() -> int:
+    """FANFORGE_BUDGET if set, else DEFAULT_NODE_BUDGET; ValueError when
+    FANFORGE_BUDGET is not an integer >= 0."""
     env = os.environ.get("FANFORGE_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_NODE_BUDGET
+    if not env:
+        return DEFAULT_NODE_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"FANFORGE_BUDGET must be an integer >= 0, got {env!r}")
+    return budget
 
 
 @dataclass
@@ -76,33 +84,37 @@ def _edge_order(g: SimpleGraph) -> list[int]:
     )
 
 
-def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
-    """Backtracking search for a proper k-edge-coloring, in `_edge_order`.
+def _backtrack(
+    g: SimpleGraph, order: list[int], k: int, first_use: bool, budget: int, colors: list
+) -> Generator[tuple[int, int], None, int]:
+    """The proper k-colorings of the edges in `order`, lexicographic in
+    (position, color): the one backtracking loop of the fixed edge orders.
 
-    Returns (assignment 1-based per edge or None, nodes used), a node
-    being one color placed. Raises BudgetExceeded when the node budget
-    runs out undecided. A fresh color may only be introduced in first-use
-    order along the fixed edge sequence; sound for both directions of the
-    decision since color classes are interchangeable. Backtracks over an
-    explicit stack, so the number of edges is not limited by the
-    recursion limit.
+    Each leaf writes its colors (1-based, by edge id) into `colors` and
+    yields (the mask of the colors it uses, nodes so far), a node being
+    one color placed; the return value is the node count of the whole
+    search. Raises BudgetExceeded once the nodes exceed `budget`. With
+    `first_use`, a color may be new only if it is the least unused one,
+    so each leaf is the least member of its orbit under renamings of the
+    colors. Backtracks over an explicit stack, so the number of edges is
+    not limited by the recursion limit.
     """
-    m = len(g.edges)
-    order = _edge_order(g)
+    m = len(order)
+    if m == 0:
+        yield 0, 0
+        return 0
     ends = [g.edges[e] for e in order]
     missing = [(1 << k) - 1] * g.n
-    colors = [0] * m
-    if m == 0:
-        return colors, 0
+    # the colors allowed beyond those placed before a position: under the
+    # first-use rule those are 1..j, so (used << 1) | 1 admits only j + 1
+    fresh = 1 if first_use else (1 << k) - 1
     # avail[pos]: colors still to try at order[pos]; chosen[pos]: its
-    # current color bit; used[pos]: the colors placed before pos, always
-    # 1..j by the first-use rule, so (used << 1) | 1 admits one fresh color
+    # current color bit; used[pos]: the colors placed before pos
     avail = [0] * m
     chosen = [0] * m
     used = [0] * m
     nodes = 0
-    u, v = ends[0]
-    avail[0] = missing[u] & missing[v] & 1
+    avail[0] = fresh & ((1 << k) - 1)  # every color is free at the start
     pos = 0
     while True:
         u, v = ends[pos]
@@ -113,7 +125,7 @@ def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], i
         a = avail[pos]
         if not a:
             if pos == 0:
-                return None, nodes
+                return nodes
             chosen[pos] = 0
             pos -= 1
             continue
@@ -126,12 +138,30 @@ def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], i
         missing[u] ^= bit
         missing[v] ^= bit
         colors[order[pos]] = bit.bit_length()
-        if pos + 1 == m:
-            return colors, nodes
-        pos += 1
-        cap = used[pos] = used[pos - 1] | bit
-        u, v = ends[pos]
-        avail[pos] = missing[u] & missing[v] & ((cap << 1) | 1)
+        cap = used[pos] | bit
+        nxt = pos + 1
+        if nxt == m:
+            yield cap, nodes
+            continue
+        # descend only where a color is free, so a dead end costs no pass
+        u, v = ends[nxt]
+        a = missing[u] & missing[v] & ((cap << 1) | fresh)
+        if a:
+            pos = nxt
+            avail[pos] = a
+            used[pos] = cap
+
+
+def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
+    """Returns (the first proper k-edge-coloring in `_edge_order` under
+    the first-use rule, or None; the nodes used). The rule is sound for
+    both answers, since color classes are interchangeable."""
+    colors = [0] * len(g.edges)
+    leaves = _backtrack(g, _edge_order(g), k, True, budget, colors)
+    try:
+        return colors, next(leaves)[1]
+    except StopIteration as done:
+        return None, done.value
 
 
 def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
@@ -481,49 +511,11 @@ def iter_colorings(
     """All proper k-edge-colorings of G - e, lexicographic in (edge id, color).
 
     Distinct colorings are distinct maps (no color-symmetry reduction).
-    Backtracks over an explicit stack of per-depth available-color masks,
-    so the number of edges is not limited by the recursion limit.
     """
-    m = len(g.edges)
-    live = [i for i in range(m) if i != e]
-    ends = [g.edges[i] for i in live]
-    depth = len(live)
-    missing = [(1 << k) - 1] * g.n
-    colors: list[Optional[int]] = [None] * m
-    if depth == 0:
+    colors: list[Optional[int]] = [None] * len(g.edges)
+    live = [i for i in range(len(g.edges)) if i != e]
+    for _ in _backtrack(g, live, k, False, _UNBOUNDED, colors):
         yield PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
-        return
-    # avail[pos]: colors still to try at live[pos]; chosen[pos]: its
-    # current color bit (0 when none is placed). colors[] entries past
-    # pos are stale until rewritten on the way down.
-    avail = [0] * depth
-    chosen = [0] * depth
-    u, v = ends[0]
-    avail[0] = missing[u] & missing[v]
-    pos = 0
-    while pos >= 0:
-        u, v = ends[pos]
-        bit = chosen[pos]
-        if bit:
-            missing[u] ^= bit
-            missing[v] ^= bit
-        a = avail[pos]
-        if not a:
-            chosen[pos] = 0
-            pos -= 1
-            continue
-        bit = a & -a
-        avail[pos] = a ^ bit
-        chosen[pos] = bit
-        missing[u] ^= bit
-        missing[v] ^= bit
-        colors[live[pos]] = bit.bit_length()
-        if pos + 1 == depth:
-            yield PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
-        else:
-            pos += 1
-            u, v = ends[pos]
-            avail[pos] = missing[u] & missing[v]
 
 
 class ColoringSpace:
@@ -536,14 +528,11 @@ class ColoringSpace:
     """
 
     def __init__(self, g: SimpleGraph, e: Optional[int], k: int):
-        delta_rest = 0
-        if g.n:
-            degs = list(g.degrees())
-            if e is not None:
-                u, v = g.edges[e]
-                degs[u] -= 1
+        degs = list(g.degrees())
+        if e is not None:
+            for v in g.edges[e]:
                 degs[v] -= 1
-            delta_rest = max(degs) if degs else 0
+        delta_rest = max(degs, default=0)
         if k < delta_rest:
             raise ValueError(f"k={k} below the working maximum degree {delta_rest}")
         self._source = iter_colorings(g, e, k)
@@ -573,4 +562,9 @@ def enumerate_colorings(
 
 
 def count_colorings(g: SimpleGraph, e: Optional[int], k: int) -> int:
-    return sum(1 for _ in iter_colorings(g, e, k))
+    """The number of proper k-edge-colorings of G - e, summed over the
+    orbits of color renamings: a first-use normal coloring that uses c
+    colors stands for perm(k, c) of them."""
+    live = [i for i in range(len(g.edges)) if i != e]
+    leaves = _backtrack(g, live, k, True, _UNBOUNDED, [0] * len(g.edges))
+    return sum(perm(k, mask.bit_count()) for mask, _ in leaves)

@@ -326,6 +326,13 @@ def test_env_budget_respected():
     assert r.returncode == 2  # budget too small: UNKNOWN without FAIL
 
 
+@pytest.mark.parametrize("value", ["1e6", "-4", "lots"])
+def test_bad_env_budget_is_an_op_error(value):
+    r = run_cli("classify", "Dv{", env_extra={"FANFORGE_BUDGET": value})
+    _assert_range_error(r, "FANFORGE_BUDGET")
+    assert "--budget" not in r.stderr
+
+
 # The exit code and the SHA-256 digests of stdout and stderr of four
 # commands, pinned so that a change meant to keep every byte shows that it
 # does. The verify run covers the reachability search and CONDITIONAL

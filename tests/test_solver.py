@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from fanforge.solver import (
     is_just_overfull,
     is_overfull,
     iter_colorings,
+    node_budget_default,
     overfull_deficiency,
     parity_check,
 )
@@ -75,6 +77,22 @@ def test_budget_exhaustion_returns_unknown():
     cv = chromatic_index(petersen(), budget=5)
     assert cv.status == "unknown"
     assert cv.chi_prime is None
+
+
+@pytest.mark.parametrize("value", ["1e6", "-4", "lots"])
+def test_bad_env_budget_raises(monkeypatch, value):
+    monkeypatch.setenv("FANFORGE_BUDGET", value)
+    with pytest.raises(ValueError, match="FANFORGE_BUDGET"):
+        node_budget_default()
+    with pytest.raises(ValueError, match="FANFORGE_BUDGET"):
+        chromatic_index(cycle(5))
+
+
+def test_env_budget_is_read(monkeypatch):
+    monkeypatch.setenv("FANFORGE_BUDGET", "0")
+    assert node_budget_default() == 0
+    monkeypatch.setenv("FANFORGE_BUDGET", "")
+    assert node_budget_default() == solver.DEFAULT_NODE_BUDGET
 
 
 def test_cycle_edges_all_critical():
@@ -153,8 +171,29 @@ def test_delta_criticality_stops_at_first_noncritical_edge(monkeypatch):
     ],
 )
 def test_chromatic_index_node_counts_are_pinned(g, nodes):
-    # the fixed-order search walks the nodes it walked as a recursion
-    assert chromatic_index(g).nodes == nodes
+    # the fixed-order search walks the nodes it walked as a recursion, and
+    # its budget is exact: those nodes suffice and one fewer does not
+    cv = chromatic_index(g)
+    assert cv.nodes == nodes
+    at = chromatic_index(g, budget=nodes)
+    assert at.status == "ok" and at.witness.to_line() == cv.witness.to_line()
+    assert chromatic_index(g, budget=nodes - 1).status == "unknown"
+
+
+def test_chromatic_index_is_pinned_over_the_fixture(fixture_lines):
+    # chi', node count and witness of every graph with n <= 7 and an edge
+    digest = hashlib.sha256()
+    graphs = 0
+    for line in fixture_lines:
+        g = from_graph6(line)
+        if g.edges:
+            cv = chromatic_index(g)
+            digest.update(f"{line} {cv.chi_prime} {cv.nodes} {cv.witness.to_line()}\n".encode())
+            graphs += 1
+    assert graphs == 995
+    assert digest.hexdigest() == (
+        "a67d76a34174b01e1475b9c957af9afce4bf3a78e36dfd1a490d833772b5e009"
+    )
 
 
 def test_chromatic_index_witnesses_are_pinned():
@@ -382,6 +421,49 @@ def test_enumerate_count_matches_reference():
     assert count_colorings(k4, 0, 3) == count_colorings_reference(
         k4.n, [p for i, p in enumerate(k4.edges) if i != 0], 3
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_count_colorings_orbit_sums_equal_the_full_count(data):
+    n = data.draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+    g = SimpleGraph(n, edges)
+    e = data.draw(st.one_of(st.none(), st.integers(0, g.m() - 1)))
+    live = [p for i, p in enumerate(g.edges) if i != e]
+    delta = max(g.degrees())
+    for k in (delta, delta + 1):
+        assert count_colorings(g, e, k) == count_colorings_reference(g.n, live, k), k
+
+
+def first_use_relabeling(colors):
+    """The coloring whose colors are renamed 1, 2, ... in the order they
+    first appear along the edge ids."""
+    names = {}
+    return tuple(None if c is None else names.setdefault(c, len(names) + 1) for c in colors)
+
+
+@pytest.mark.parametrize(
+    "g,e,k",
+    [
+        (cycle(5), None, 3),
+        (complete(4), None, 3),
+        (complete(4), 2, 4),
+        (delete_edge(complete(5), 0), 3, 4),
+        (from_graph6("Feujg"), 5, 4),
+        (petersen(), 0, 4),
+    ],
+)
+def test_normal_leaves_are_one_per_color_renaming_orbit(g, e, k):
+    colors = [None] * g.m()
+    live = [i for i in range(g.m()) if i != e]
+    leaves = [
+        tuple(colors)
+        for _ in solver._backtrack(g, live, k, True, solver._UNBOUNDED, colors)
+    ]
+    orbits = {first_use_relabeling(c) for c in colorings_reference(g.n, list(g.edges), e, k)}
+    assert leaves == sorted(orbits)
 
 
 def test_enumerate_truncation_flagged():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -400,6 +401,9 @@ def test_all_checks_zero_fail_on_every_class_two_small_graph(fixture_lines):
     assert summary["errors"] == 0
     for name, row in summary["checks"].items():
         assert row["FAIL"] == 0, (name, row)
+    # and the reports keep every byte: a gate on the whole lemma path
+    digest = hashlib.sha256("".join(r + "\n" for r in reports).encode()).hexdigest()
+    assert digest == "e8440f7fe2bc79cd0fd25efd7994872924a20e92d44742f69c85decfe4e08074"
 
 
 def test_pfan_violation_downgrades_without_certified_maximum():
