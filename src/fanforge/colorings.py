@@ -544,11 +544,20 @@ def are_linked(phi: PartialEdgeColoring, u: int, v: int, a: int, b: int) -> bool
             )
     if u == v:
         return True
-    ch = phi.chain_at(u, a, b)
-    if ch.kind != "path":
-        return False
-    p, q = ch.endpoints()
-    return {p, q} == {u, v}
+    phi._check_pair(a, b)
+    # u misses a or b, so it ends its (a,b)-path: walk to the far end
+    k = phi.k
+    bc = phi._by_color
+    ends = phi.graph.edges
+    c = b if phi.missing[u] >> (a - 1) & 1 else a
+    x = u
+    e = bc[u * k + c - 1]
+    while e >= 0:
+        p, q = ends[e]
+        x = q if p == x else p
+        c = a + b - c
+        e = bc[x * k + c - 1]
+    return x == v
 
 
 def double_swap_at(

@@ -399,10 +399,14 @@ def search_maximum_multifan(
     `space` is the coloring space of G - rs1 at Delta colors, built when
     None. exhaustive: the first largest fan over `space.prefix(budget)`,
     in enumeration order; EXACT when that prefix is the whole space, else
-    LOWER-BOUND. reachability: BFS from the space's first coloring over
-    single Kempe swaps touching the current fan's colors, at most `budget`
-    expansions, states keyed exactly (`kempe_bfs`); always LOWER-BOUND.
-    `explored` counts the colorings examined or the expansions made.
+    LOWER-BOUND. A space of at most `budget` colorings, counted by orbit
+    sums, is searched over its first-use normal colorings only: fan size
+    does not depend on color names, so the first largest fan sits on the
+    least member of an orbit, which is normal. reachability: BFS from the
+    space's first coloring over single Kempe swaps touching the current
+    fan's colors, at most `budget` expansions, states keyed exactly
+    (`kempe_bfs`); always LOWER-BOUND. `explored` counts the colorings
+    examined (each normal one for its whole orbit) or the expansions made.
     """
     if mode not in ("exhaustive", "reachability"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -410,19 +414,23 @@ def search_maximum_multifan(
     if space is None:
         space = ColoringSpace(g, g.edge_id(r, s1), k)
     if mode == "exhaustive":
-        en = space.prefix(budget)
-        if not en.colorings:
-            raise FanError(
-                f"budget {budget} examines no coloring" if en.truncated
-                else "no colorings to search"
-            )
+        cap = max(budget, 0)
+        whole = space.size(cap) <= cap
+        if whole:
+            phis, explored = space.normal(), space.size()
+        else:
+            phis = space.prefix(budget).colorings
+            explored = len(phis)
+        if not phis:
+            raise FanError("no colorings to search" if whole
+                           else f"budget {budget} examines no coloring")
         best_phi = best_fan = None
-        for phi in en.colorings:
+        for phi in phis:
             fan = grow_multifan(g, phi, r, s1)
             if best_fan is None or fan.size() > best_fan.size():
                 best_phi, best_fan = phi, fan
-        status = "LOWER-BOUND" if en.truncated else "EXACT"
-        return MaxFanResult(best_phi, best_fan, status, len(en.colorings))
+        return MaxFanResult(best_phi, best_fan, "EXACT" if whole else "LOWER-BOUND",
+                            explored)
     first = space.prefix(1).colorings
     if not first:
         raise FanError("no colorings to search")

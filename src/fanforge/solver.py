@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, permutations
 from math import perm
 from typing import Container, Generator, Iterator, Optional
 
@@ -518,37 +518,114 @@ def iter_colorings(
         yield PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
 
 
+def _working_delta(g: SimpleGraph, e: Optional[int]) -> int:
+    """The maximum degree of G - e."""
+    degs = list(g.degrees())
+    if e is not None:
+        for v in g.edges[e]:
+            degs[v] -= 1
+    return max(degs, default=0)
+
+
 class ColoringSpace:
-    """The colorings of `iter_colorings(g, e, k)`, enumerated once and
-    materialized lazily: the stored prefix grows only as far as the
-    largest `prefix` asked for, so every consumer of one space shares a
-    single enumeration.
+    """The colorings of `iter_colorings(g, e, k)`, each walked at most once.
+
+    Renaming the colors maps a coloring to a coloring, and the least
+    member of an orbit (in `iter_colorings` order) is its first-use normal
+    form: a color is new only as the least unused one. One lazy walk of
+    `_backtrack` in edge-id order with that break keeps each normal
+    coloring and a running orbit sum, a normal coloring that uses c colors
+    standing for perm(k, c) of them; it stops as soon as the sum passes
+    the limit a caller asks about. So `size` answers "at most N" without
+    building a coloring. A space that fits `prefix`'s limit comes from its
+    normal colorings, each orbit expanded and the color tuples sorted,
+    which is exactly `iter_colorings` order; only a true prefix of a
+    larger space runs the full walk, materialized as far as the largest
+    such prefix asked for.
 
     The colorings are shared between callers and are read-only.
     """
 
     def __init__(self, g: SimpleGraph, e: Optional[int], k: int):
-        degs = list(g.degrees())
-        if e is not None:
-            for v in g.edges[e]:
-                degs[v] -= 1
-        delta_rest = max(degs, default=0)
+        delta_rest = _working_delta(g, e)
         if k < delta_rest:
             raise ValueError(f"k={k} below the working maximum degree {delta_rest}")
+        self.graph, self.edge, self.k = g, e, k
+        self._colors: list[Optional[int]] = [None] * len(g.edges)
+        live = [i for i in range(len(g.edges)) if i != e]
+        # the normal walk, None once it is exhausted
+        self._walk: Optional[Generator] = _backtrack(
+            g, live, k, True, _UNBOUNDED, self._colors
+        )
+        # (colors, number of colors used) of each normal coloring walked
+        self._leaves: list[tuple[tuple, int]] = []
+        self._size = 0  # the orbit sum over _leaves
+        self._normal: Optional[list[PartialEdgeColoring]] = None
+        # the full walk, for a true prefix only
         self._source = iter_colorings(g, e, k)
         self._seen: list[PartialEdgeColoring] = []
+        self._complete = False  # _seen holds the whole space
+
+    def size(self, limit: Optional[int] = None) -> int:
+        """The number of colorings, exact when it is at most `limit` (or
+        `limit` is None); otherwise some number above `limit`, since the
+        normal walk stops once its orbit sum passes `limit`."""
+        k = self.k
+        while self._walk is not None and (limit is None or self._size <= limit):
+            try:
+                mask, _ = next(self._walk)
+            except StopIteration:
+                self._walk = None
+                break
+            c = mask.bit_count()
+            self._leaves.append((tuple(self._colors), c))
+            self._size += perm(k, c)
+        return self._size
+
+    def normal(self) -> list[PartialEdgeColoring]:
+        """The first-use normal colorings, one per orbit, in
+        `iter_colorings` order."""
+        if self._normal is None:
+            self.size()
+            g, k, e = self.graph, self.k, self.edge
+            self._normal = [
+                PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
+                for colors, _ in self._leaves
+            ]
+        return self._normal
 
     def prefix(self, limit: Optional[int] = None) -> ColoringEnumeration:
         """The first `limit` colorings (all of them when None), with
         `truncated` set when the space holds more."""
+        if limit is not None:
+            limit = max(limit, 0)
         seen = self._seen
-        if limit is None:
-            seen.extend(self._source)
-            return ColoringEnumeration(list(seen), False)
-        limit = max(limit, 0)
-        if len(seen) <= limit:
-            seen.extend(islice(self._source, limit + 1 - len(seen)))
-        return ColoringEnumeration(seen[:limit], len(seen) > limit)
+        if not self._complete and (limit is None or self.size(limit) <= limit):
+            self._expand()
+        if self._complete:
+            return ColoringEnumeration(seen[:limit], limit is not None and len(seen) > limit)
+        # a true prefix: size() > limit, so the space holds more
+        if len(seen) < limit:
+            seen.extend(islice(self._source, limit - len(seen)))
+        return ColoringEnumeration(seen[:limit], True)
+
+    def _expand(self) -> None:
+        """Materialize the whole space from the orbits of the normal
+        colorings, keeping the colorings already materialized."""
+        self.size()
+        k = self.k
+        out = []
+        for colors, c in self._leaves:
+            for names in permutations(range(1, k + 1), c):
+                out.append(tuple(None if x is None else names[x - 1] for x in colors))
+        out.sort()
+        seen = self._seen
+        g, e = self.graph, self.edge
+        seen.extend(
+            PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
+            for colors in out[len(seen):]
+        )
+        self._complete = True
 
 
 def enumerate_colorings(
@@ -562,9 +639,9 @@ def enumerate_colorings(
 
 
 def count_colorings(g: SimpleGraph, e: Optional[int], k: int) -> int:
-    """The number of proper k-edge-colorings of G - e, summed over the
-    orbits of color renamings: a first-use normal coloring that uses c
-    colors stands for perm(k, c) of them."""
-    live = [i for i in range(len(g.edges)) if i != e]
-    leaves = _backtrack(g, live, k, True, _UNBOUNDED, [0] * len(g.edges))
-    return sum(perm(k, mask.bit_count()) for mask, _ in leaves)
+    """The number of proper k-edge-colorings of G - e: the orbit sum of
+    its `ColoringSpace`, and 0 when k is below the maximum degree of
+    G - e."""
+    if k < _working_delta(g, e):
+        return 0
+    return ColoringSpace(g, e, k).size()

@@ -623,12 +623,13 @@ def normalize_checks(spec: str | Sequence[str]) -> tuple[str, ...]:
 
 def _max_fan_for(g, r, s1, cfg, space: ColoringSpace) -> MaxFanResult:
     """The lemma suite's maximum fan at r from rs1: exhaustive over `space`
-    (the colorings of G - rs1) when it holds at most fan_budget + 1
-    colorings, else a reachability search of fan_budget expansions from
-    its first coloring."""
-    if space.prefix(cfg.fan_budget + 1).truncated:
+    (the colorings of G - rs1, searched by their first-use normal forms)
+    when its orbit sum is at most fan_budget + 1, else a reachability
+    search of fan_budget expansions from its first coloring."""
+    cap = cfg.fan_budget + 1
+    if space.size(cap) > cap:
         return search_maximum_multifan(g, r, s1, "reachability", cfg.fan_budget, space)
-    return search_maximum_multifan(g, r, s1, "exhaustive", cfg.fan_budget + 1, space)
+    return search_maximum_multifan(g, r, s1, "exhaustive", cap, space)
 
 
 def _note(out: dict, names: Iterable[str], status: str, reason: str) -> None:
@@ -665,10 +666,8 @@ def run_lemma_suite(
         space = ColoringSpace(g, e, delta)
         # every coloring when the space is small, else the first
         # MAX_COLORINGS in enumeration order
-        sample = space.prefix(ENUM_CAP + 1)
-        phis = sample.colorings
-        if sample.truncated:
-            phis = phis[:MAX_COLORINGS]
+        small = space.size(ENUM_CAP) <= ENUM_CAP
+        phis = space.prefix(None if small else MAX_COLORINGS).colorings
         u, v = g.endpoints(e)
         for r, s1 in ((u, v), (v, u)):
             # the tau/shifting/pseudo-fan machinery lives at a light center

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -10,6 +11,18 @@ from fanforge.colorings import PartialEdgeColoring
 from fanforge.graphs import SimpleGraph
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@st.composite
+def graphs_with_edge(draw, max_edges=10, need_edge=False):
+    """(G, e): a graph on 2-7 vertices with 1-`max_edges` edges, and one
+    of its edge ids, or None unless `need_edge`."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=max_edges, unique=True))
+    g = SimpleGraph(n, edges)
+    edge = st.integers(0, g.m() - 1)
+    return g, draw(edge if need_edge else st.one_of(st.none(), edge))
 
 
 @pytest.fixture(scope="session")

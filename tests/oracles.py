@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from fanforge.colorings import Chain, ColoringError, PartialEdgeColoring
+from fanforge.colorings import (
+    BothColorsPresentError,
+    Chain,
+    ColoringError,
+    PartialEdgeColoring,
+)
 
 
 def decode_graph6_reference(text: str) -> tuple[int, set[frozenset[int]]]:
@@ -337,6 +342,20 @@ def chain_at_reference(phi, v: int, a: int, b: int):
         verts.reverse()
         eids.reverse()
     return Chain((lo, hi), "path", tuple(verts), tuple(eids))
+
+
+def are_linked_reference(phi, u: int, v: int, a: int, b: int) -> bool:
+    """u and v are the two ends of one (a,b)-path, read off the chain
+    `chain_at_reference` walks from u; u == v is linked to itself. Raises
+    BothColorsPresentError when u or v sees both colors."""
+    for x in (u, v):
+        if (_edge_with_color_reference(phi, x, a) is not None
+                and _edge_with_color_reference(phi, x, b) is not None):
+            raise BothColorsPresentError(f"vertex {x} sees both colors")
+    if u == v:
+        return True
+    ch = chain_at_reference(phi, u, a, b)
+    return ch.kind == "path" and {ch.vertices[0], ch.vertices[-1]} == {u, v}
 
 
 def chains_reference(phi, a: int, b: int) -> list:

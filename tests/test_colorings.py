@@ -2,9 +2,14 @@ import random
 from itertools import islice
 
 import pytest
-from conftest import leaf_padded_gadget
+from conftest import graphs_with_edge, leaf_padded_gadget
 from hypothesis import given, settings, strategies as st
-from oracles import chain_at_reference, chains_reference, kempe_swap_reference
+from oracles import (
+    are_linked_reference,
+    chain_at_reference,
+    chains_reference,
+    kempe_swap_reference,
+)
 
 from fanforge.colorings import (
     BothColorsPresentError,
@@ -151,6 +156,34 @@ def test_are_linked(c5_fixture):
     assert not are_linked(psi, 2, 3, 1, 2)
     with pytest.raises(BothColorsPresentError):
         are_linked(phi, 2, 0, 1, 2)  # vertex 2 has both colors present
+
+
+def _linked_or_raises(linked, phi, u, v, a, b):
+    try:
+        return linked(phi, u, v, a, b)
+    except BothColorsPresentError:
+        return "both present"
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_edge(), st.data())
+def test_are_linked_equals_the_reference_walk(graph_edge, data):
+    # every (u, v) of a few colorings, u == v and vertices that miss both
+    # colors or see both among them, and one state a swap away
+    g, e = graph_edge
+    delta = max(g.degrees())
+    k = max(delta + data.draw(st.integers(0, 1)), 2)  # two colors to pair
+    states = list(islice(iter_colorings(g, e, k), 2))
+    if states:
+        moves = list(swap_moves(states[0]))
+        if moves:
+            states.append(kempe_swap(states[0], data.draw(st.sampled_from(moves))))
+    for phi in states:
+        a, b = data.draw(st.permutations(range(1, k + 1)))[:2]
+        for u in range(g.n):
+            for v in range(g.n):
+                assert _linked_or_raises(are_linked, phi, u, v, a, b) == \
+                    _linked_or_raises(are_linked_reference, phi, u, v, a, b), (u, v)
 
 
 def test_double_swap_identity(c5_fixture):

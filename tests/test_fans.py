@@ -1,4 +1,6 @@
 import pytest
+from conftest import graphs_with_edge
+from hypothesis import given, settings, strategies as st
 
 from fanforge.colorings import PartialEdgeColoring, kempe_swap
 from fanforge.fans import (
@@ -29,7 +31,12 @@ from fanforge.graphs import (
     petersen,
     star,
 )
-from fanforge.solver import ColoringSpace, enumerate_colorings, iter_colorings
+from fanforge.solver import (
+    ColoringSpace,
+    count_colorings,
+    enumerate_colorings,
+    iter_colorings,
+)
 
 
 def k5e_instance():
@@ -174,6 +181,38 @@ def test_search_exhaustive_budget_bounds_the_colorings_examined(c5_fixture):
     assert res.status == "LOWER-BOUND" and res.explored == 1
     res = search_maximum_multifan(g, 0, 1, mode="exhaustive", budget=2)
     assert res.status == "EXACT" and res.explored == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_edge(max_edges=8, need_edge=True), st.data())
+def test_exhaustive_search_over_normal_colorings_equals_the_full_search(graph_edge, data):
+    # the reference: the first largest fan over every coloring, in
+    # iter_colorings order
+    g, e = graph_edge
+    delta = max(g.degrees())
+    for k in (delta, delta + 1):
+        if count_colorings(g, e, k) > 5000:
+            continue  # the reference materializes every coloring
+        full = list(iter_colorings(g, e, k))
+        below = data.draw(st.integers(1, max(len(full) - 1, 1)))
+        for r, s1 in (g.edges[e], g.edges[e][::-1]):
+            for budget in (below, len(full), len(full) + 1):
+                try:
+                    res = search_maximum_multifan(
+                        g, r, s1, "exhaustive", budget, ColoringSpace(g, e, k)
+                    )
+                except FanError as exc:
+                    assert not full and str(exc) == "no colorings to search"
+                    continue
+                best_phi = best_fan = None
+                for phi in full[:budget]:
+                    fan = grow_multifan(g, phi, r, s1)
+                    if best_fan is None or fan.size() > best_fan.size():
+                        best_phi, best_fan = phi, fan
+                assert res.phi.to_line() == best_phi.to_line()
+                assert res.fan.to_json() == best_fan.to_json()
+                assert res.status == ("EXACT" if budget >= len(full) else "LOWER-BOUND")
+                assert res.explored == min(budget, len(full))
 
 
 def test_search_reachability_budget_zero(c5_fixture):

@@ -2,6 +2,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from conftest import graphs_with_edge
 from hypothesis import given, settings, strategies as st
 
 from fanforge import solver
@@ -424,17 +425,36 @@ def test_enumerate_count_matches_reference():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_count_colorings_orbit_sums_equal_the_full_count(data):
-    n = data.draw(st.integers(2, 7))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
-    g = SimpleGraph(n, edges)
-    e = data.draw(st.one_of(st.none(), st.integers(0, g.m() - 1)))
+@given(graphs_with_edge())
+def test_count_colorings_orbit_sums_equal_the_full_count(graph_edge):
+    g, e = graph_edge
     live = [p for i, p in enumerate(g.edges) if i != e]
     delta = max(g.degrees())
-    for k in (delta, delta + 1):
+    # delta - 1 is below the maximum degree of G - e unless e meets
+    # every vertex of degree delta: no coloring, and no ColoringSpace
+    for k in (delta - 1, delta, delta + 1):
         assert count_colorings(g, e, k) == count_colorings_reference(g.n, live, k), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_edge(max_edges=8), st.data())
+def test_prefix_from_orbits_equals_iter_colorings(graph_edge, data):
+    g, e = graph_edge
+    delta = max(g.degrees())
+    for k in (delta, delta + 1):
+        if count_colorings(g, e, k) > 5000:
+            continue  # the reference materializes every coloring
+        full = [phi.to_line() for phi in iter_colorings(g, e, k)]
+        below = data.draw(st.integers(0, max(len(full) - 1, 0)))
+        above = data.draw(st.integers(len(full), len(full) + 3))
+        # one space per sequence of limits: a fresh one, one that walked
+        # a true prefix first, one that holds the whole space already
+        for limits in ((None,), (below,), (above,), (below, None, below), (above, below)):
+            space = ColoringSpace(g, e, k)
+            for limit in limits:
+                en = space.prefix(limit)
+                assert [phi.to_line() for phi in en] == full[:limit]
+                assert en.truncated == (limit is not None and len(full) > limit)
 
 
 def first_use_relabeling(colors):
@@ -522,10 +542,12 @@ def test_coloring_space_is_lazy(monkeypatch):
     monkeypatch.setattr(solver, "iter_colorings", counting)
     space = ColoringSpace(complete(4), None, 4)
     assert drawn == []
-    assert space.prefix(3).truncated and len(drawn) == 4
+    # the orbit sum tells the truncation, so a prefix draws no coloring
+    # past its limit
+    assert space.prefix(3).truncated and len(drawn) == 3
     space.prefix(2)
-    assert len(drawn) == 4  # a shorter prefix reuses what is stored
-    assert len(space.prefix(6)) == 6 and len(drawn) == 7
+    assert len(drawn) == 3  # a shorter prefix reuses what is stored
+    assert len(space.prefix(6)) == 6 and len(drawn) == 6
 
 
 def test_enumerate_deterministic_order():

@@ -128,22 +128,59 @@ def test_grow_pfan_requires_a_typical_base():
         grow_pfan(PM, base)
 
 
+def _count_walks(monkeypatch) -> Counter:
+    """Counts the `_backtrack` walks of a space G - e by (e, first_use)."""
+    walks = Counter()
+    real = solver._backtrack
+
+    def counting(g, order, k, first_use, *args):
+        rest = set(range(g.m())) - set(order)
+        if len(rest) == 1:
+            walks[(rest.pop(), first_use)] += 1
+        return real(g, order, k, first_use, *args)
+
+    monkeypatch.setattr(solver, "_backtrack", counting)
+    return walks
+
+
+FUNJW = from_graph6("Funjw")
+
+
 @pytest.mark.parametrize("fan_budget", [2000, 5])
 def test_lemma_suite_enumerates_each_critical_edge_once(monkeypatch, fan_budget):
-    # PM's spaces hold more than 6 colorings, so fan_budget 5 takes the
-    # reachability branches and 2000 the exhaustive ones
-    starts = []
-    real = solver.iter_colorings
+    # PM's spaces hold 18 or 42 colorings: fan_budget 2000 takes the
+    # exhaustive branches and 5 the reachability ones. Funjw's hold
+    # 2,400-4,560, more than ENUM_CAP and fan_budget + 1: its sample is a
+    # true prefix, which the reachability start shares
+    walks = _count_walks(monkeypatch)
+    for g in (PM, FUNJW):
+        crit = set(solver.graph_facts(g).critical_edges())
+        walks.clear()
+        cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=fan_budget)
+        out = run_lemma_suite(g, cfg, LEMMA_CHECKS)
+        assert any(v.status != "INAPPLICABLE" for v in out["pfan"])
+        # one normal walk per critical edge, and at most one full walk
+        assert {e for e, first_use in walks if first_use} == crit
+        assert {e for e, _ in walks} <= crit
+        assert set(walks.values()) == {1}
+        if g is FUNJW:
+            assert {e for e, first_use in walks if not first_use} == crit
 
-    def counting(g, e, k):
-        starts.append(e)
-        return real(g, e, k)
 
-    monkeypatch.setattr(solver, "iter_colorings", counting)
-    cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=fan_budget)
-    out = run_lemma_suite(PM, cfg, LEMMA_CHECKS)
-    assert any(v.status != "INAPPLICABLE" for v in out["pfan"])
-    assert starts and len(starts) == len(set(starts))
+def test_lemma_suite_runs_no_full_walk_on_small_spaces(monkeypatch):
+    # every space of PM holds at most ENUM_CAP colorings: the sample, the
+    # exhaustive maximum fans and the reachability starts all come from
+    # the normal walk
+    crit = solver.graph_facts(PM).critical_edges()
+    assert all(
+        solver.count_colorings(PM, e, 3) <= theorems.ENUM_CAP for e in crit
+    )
+    walks = _count_walks(monkeypatch)
+    for fan_budget in (2000, 5):
+        walks.clear()
+        cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=fan_budget)
+        run_lemma_suite(PM, cfg, LEMMA_CHECKS)
+        assert walks and all(first_use for _, first_use in walks)
 
 
 def test_lemma_suite_searches_one_maximum_fan_per_orientation(monkeypatch):
