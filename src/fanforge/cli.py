@@ -262,8 +262,10 @@ def cmd_tau(args) -> int:
         return OP_ERROR
     r, s1 = args.edge
     try:
+        # tau prints no `explored`, so its search may stop at a spanning fan
         res = search_maximum_multifan(
-            g, r, s1, mode=args.mode, budget=args.fan_budget
+            g, r, s1, mode=args.mode, budget=args.fan_budget,
+            stop_when_spanning=True,
         )
         nf = normalize_typical(g, res.phi, res.fan)
     except FanError as exc:

@@ -17,12 +17,13 @@ from typing import Optional, Sequence
 from . import verdicts as V
 from .colorings import (
     PartialEdgeColoring,
+    _mask_to_colors,
     are_linked,
     kempe_bfs,
     kempe_swap,
     swap_moves,
 )
-from .graphs import SimpleGraph, degree_profile, light_vertices
+from .graphs import SimpleGraph, degree_profile, incident, light_vertices
 from .solver import BudgetExceeded, ColoringSpace, graph_facts
 
 
@@ -47,7 +48,7 @@ class Multifan:
     uncolored_edge: int
     sequence: tuple[int, ...]  # (s1, ..., sp)
     edge_colors: dict[int, int]  # spoke vertex -> color of r-spoke edge (s1 absent)
-    missing: dict[int, tuple[int, ...]]  # snapshot of missing sets on V(F)
+    missing: dict[int, int]  # snapshot of the missing masks on V(F)
     typical: Optional[TypicalForm] = None
 
     def vertex_set(self) -> tuple[int, ...]:
@@ -62,7 +63,8 @@ class Multifan:
             "uncolored_edge": self.uncolored_edge,
             "sequence": list(self.sequence),
             "edge_colors": {str(s): c for s, c in self.edge_colors.items()},
-            "missing": {str(v): list(m) for v, m in self.missing.items()},
+            "missing": {str(v): list(_mask_to_colors(m))
+                        for v, m in self.missing.items()},
         }
         if self.typical:
             d["typical"] = {
@@ -124,16 +126,18 @@ def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> 
     if phi.uncolored != e:
         raise FanError(f"edge {r}-{s1} is not the uncolored edge of the coloring")
     prof = degree_profile(g)
-    delta = prof.delta
+    degrees, delta = prof.degrees, prof.delta
+    at_r = incident(g)[r]
+    colors, missing = phi.assignment, phi.missing
     seq = [s1]
     member = {s1}
-    missing_union = phi.missing_mask(s1)
+    missing_union = missing[s1]
     while True:
         best = None
-        for w in g.adjacency[r]:
-            if w in member or prof.degrees[w] == delta:
+        for w, ew in at_r.items():
+            if w in member or degrees[w] == delta:
                 continue
-            c = phi.color_of(g.edge_id(r, w))
+            c = colors[ew]
             if c is None:
                 continue
             if missing_union >> (c - 1) & 1:
@@ -145,15 +149,13 @@ def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> 
         _, w = best
         seq.append(w)
         member.add(w)
-        missing_union |= phi.missing_mask(w)
+        missing_union |= missing[w]
     return Multifan(
         center=r,
         uncolored_edge=e,
         sequence=tuple(seq),
-        edge_colors={
-            s: phi.color_of(g.edge_id(r, s)) for s in seq[1:]
-        },
-        missing={v: phi.missing_at(v) for v in [r] + seq},
+        edge_colors={s: colors[at_r[s]] for s in seq[1:]},
+        missing={v: missing[v] for v in [r] + seq},
     )
 
 
@@ -176,21 +178,24 @@ def check_multifan(
     if {u, v} != {r, seq[0]}:
         out.append("uncolored edge does not join center and s1")
     prof = degree_profile(g)
-    missing_union = phi.missing_mask(seq[0])
+    at_r = incident(g)[r]
+    colors, missing = phi.assignment, phi.missing
+    missing_union = missing[seq[0]]
     for i, s in enumerate(seq):
-        if not g.has_edge(r, s):
+        e = at_r.get(s)
+        if e is None:
             out.append(f"s{i+1}={s} not adjacent to center")
             continue
         if i == 0:
             continue
         if prof.degrees[s] == prof.delta:
             out.append(f"spoke {s} is a maximum-degree vertex")
-        c = phi.color_of(g.edge_id(r, s))
+        c = colors[e]
         if c is None:
             out.append(f"spoke edge r-{s} uncolored")
         elif not (missing_union >> (c - 1)) & 1:
             out.append(f"color {c} of spoke r-{s} missing at no earlier spoke")
-        missing_union |= phi.missing_mask(s)
+        missing_union |= missing[s]
     return out
 
 
@@ -310,7 +315,7 @@ def normalize_typical(
         uncolored_edge=fan.uncolored_edge,
         sequence=tuple(new_seq),
         edge_colors={s: phi2.color_of(g.edge_id(r, s)) for s in new_seq[1:]},
-        missing={v: phi2.missing_at(v) for v in [r] + new_seq},
+        missing={v: phi2.missing_mask(v) for v in [r] + new_seq},
         typical=TypicalForm(alpha, beta, tuple(two_chain), tuple(delta_chain)),
     )
     bad = check_typical(g, phi2, fan2)
@@ -393,6 +398,8 @@ def search_maximum_multifan(
     mode: str = "exhaustive",
     budget: int = 10_000,
     space: Optional[ColoringSpace] = None,
+    *,
+    stop_when_spanning: bool = False,
 ) -> MaxFanResult:
     """Largest |V(F)| over colorings of G - rs1; `budget` bounds the work.
 
@@ -407,10 +414,18 @@ def search_maximum_multifan(
     fan's colors, at most `budget` expansions, states keyed exactly
     (`kempe_bfs`); always LOWER-BOUND. `explored` counts the colorings
     examined (each normal one for its whole orbit) or the expansions made.
+
+    `stop_when_spanning` ends the reachability search at the first state
+    whose fan holds s1 and every neighbor of r below maximum degree, the
+    largest fan any coloring grows. States are expanded in the order they
+    are generated, so that state is the first one the full search would
+    expand with that fan: phi, fan and status are the full search's, and
+    only `explored` is smaller.
     """
     if mode not in ("exhaustive", "reachability"):
         raise ValueError(f"unknown mode {mode!r}")
-    k = degree_profile(g).delta
+    prof = degree_profile(g)
+    k = prof.delta
     if space is None:
         space = ColoringSpace(g, g.edge_id(r, s1), k)
     if mode == "exhaustive":
@@ -437,24 +452,43 @@ def search_maximum_multifan(
     phi0 = first[0]
     best_fan = grow_multifan(g, phi0, r, s1)
     best_phi = phi0
+    spanning = 1 + len({s1}.union(
+        w for w in g.adjacency[r] if prof.degrees[w] < k))
+    if stop_when_spanning and best_fan.size() == spanning:
+        return MaxFanResult(phi0, best_fan, "LOWER-BOUND", 0)
+    position = 1  # of the next state generated; phi0 is at 0
+
+    def spans(phi, *_):
+        # the full search expands only the states at positions < budget
+        nonlocal best_fan, best_phi, position
+        if position >= budget:
+            return False
+        position += 1
+        fan = grow_multifan(g, phi, r, s1)
+        if fan.size() < spanning:
+            return False
+        best_fan, best_phi = fan, phi
+        return True
 
     def fan_moves(phi):
         nonlocal best_fan, best_phi
         fan = grow_multifan(g, phi, r, s1)
         if fan.size() > best_fan.size():
             best_fan, best_phi = fan, phi
-        relevant = set()
-        for v in fan.vertex_set():
-            relevant.update(phi.missing_at(v))
-        relevant.update(fan.edge_colors.values())
+        relevant = 0  # the colors missing on V(F) or on its spoke edges
+        for m in fan.missing.values():
+            relevant |= m
+        for c in fan.edge_colors.values():
+            relevant |= 1 << (c - 1)
         pairs = [
             (a, b)
             for a, b in combinations(range(1, k + 1), 2)
-            if a in relevant or b in relevant
+            if (relevant >> (a - 1) | relevant >> (b - 1)) & 1
         ]
         return swap_moves(phi, pairs)
 
-    explored = kempe_bfs(phi0, fan_moves, budget).expanded
+    explored = kempe_bfs(phi0, fan_moves, budget,
+                         goal=spans if stop_when_spanning else None).expanded
     return MaxFanResult(best_phi, best_fan, "LOWER-BOUND", explored)
 
 
@@ -540,17 +574,17 @@ def grow_kierstead_path(
     e = g.edge_id(v0, v1)
     if phi.uncolored != e:
         raise FanError(f"edge {v0}-{v1} is not the uncolored edge")
+    inc = incident(g)
+    colors, missing = phi.assignment, phi.missing
     verts = [v0, v1]
+    missing_union = missing[v0]  # over every vertex but the tip
     while max_len is None or len(verts) < max_len:
         tip = verts[-1]
-        missing_union = 0
-        for u in verts[:-1]:
-            missing_union |= phi.missing_mask(u)
         best = None
-        for w in g.adjacency[tip]:
+        for w, ew in inc[tip].items():
             if w in verts:
                 continue
-            c = phi.color_of(g.edge_id(tip, w))
+            c = colors[ew]
             if c is None:
                 continue
             if (missing_union >> (c - 1)) & 1:
@@ -558,6 +592,7 @@ def grow_kierstead_path(
                     best = (c, w)
         if best is None:
             break
+        missing_union |= missing[tip]
         verts.append(best[1])
     return KiersteadPath(tuple(verts), e)
 
@@ -565,21 +600,33 @@ def grow_kierstead_path(
 def check_kierstead_path(
     g: SimpleGraph, phi: PartialEdgeColoring, kp: KiersteadPath
 ) -> list[str]:
+    """Violations of the Kierstead path conditions; empty list when valid.
+    The first pair must be joined by the uncolored edge, each later pair
+    by an edge whose color is missing at a vertex at least two steps back."""
     out = []
     verts = kp.vertices
     if len(set(verts)) != len(verts):
         out.append("vertices not distinct")
     if phi.uncolored != kp.uncolored_edge:
         out.append("uncolored edge mismatch")
+    inc = incident(g)
+    colors, missing = phi.assignment, phi.missing
+    if len(verts) < 2 or inc[verts[0]].get(verts[1]) != kp.uncolored_edge:
+        out.append("first pair is not the uncolored edge")
+    missing_union = 0
     for i in range(2, len(verts)):
-        c = phi.color_of(g.edge_id(verts[i - 1], verts[i]))
-        if c is None:
-            out.append(f"edge {verts[i-1]}-{verts[i]} uncolored")
+        a, b = verts[i - 1], verts[i]
+        missing_union |= missing[verts[i - 2]]
+        e = inc[a].get(b)
+        if e is None:
+            out.append(f"{a} and {b} are not adjacent")
             continue
-        if not any(phi.misses(verts[j], c) for j in range(i - 1)):
-            out.append(
-                f"color {c} of edge {verts[i-1]}-{verts[i]} missing nowhere earlier"
-            )
+        c = colors[e]
+        if c is None:
+            out.append(f"edge {a}-{b} uncolored")
+            continue
+        if not (missing_union >> (c - 1)) & 1:
+            out.append(f"color {c} of edge {a}-{b} missing nowhere earlier")
     return out
 
 
@@ -773,8 +820,9 @@ def verify_kp_elementary(
     bad = check_kierstead_path(g, phi, kp)
     if bad:
         return V.failed(name, reason="not a Kierstead path", violations=bad)
-    delta = degree_profile(g).delta
-    degs = [g.degree(v) for v in kp.vertices]
+    prof = degree_profile(g)
+    delta = prof.delta
+    degs = [prof.degrees[v] for v in kp.vertices]
     # Guaranteed elementary when one of the two middle vertices (the
     # colored endpoint of the working edge and its successor) is below
     # maximum degree. The far end's degree alone does not suffice: graphs

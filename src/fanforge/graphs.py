@@ -25,13 +25,14 @@ class SimpleGraph:
     workers. `adjacency[v]` is the sorted neighbor list, `edges[i]` the
     (u, v) pair with u < v, and `edge_index` maps pairs back to ids.
     `adj_mask[v]` is the neighbor set of v as an int bitmask.
-    `degree_profile` and `light_vertices` memoize their answers in the
-    `_profile` and `_light` slots on first call, and `solver.graph_facts`
-    its chi' and criticality facts in `_facts`; pickles leave them out.
+    `degree_profile`, `light_vertices` and `incident` memoize their
+    answers in the `_profile`, `_light` and `_incident` slots on first
+    call, and `solver.graph_facts` its chi' and criticality facts in
+    `_facts`; pickles leave them out.
     """
 
     __slots__ = ("n", "adjacency", "edges", "edge_index", "adj_mask",
-                 "_profile", "_light", "_facts")
+                 "_profile", "_light", "_incident", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -335,6 +336,22 @@ def light_vertices(g: SimpleGraph) -> tuple[int, ...]:
         v for v in range(g.n) if (g.adj_mask[v] & dv_mask).bit_count() <= 2
     )
     return light
+
+
+def incident(g: SimpleGraph) -> tuple[dict[int, int], ...]:
+    """Per vertex, a map from each neighbor to the id of the edge joining
+    them, neighbors ascending (computed on the first call and kept on g)."""
+    try:
+        return g._incident
+    except AttributeError:
+        pass
+    inc = tuple({} for _ in range(g.n))
+    # in sorted pair order each vertex meets its neighbors ascending
+    for e, (u, v) in enumerate(g.edges):
+        inc[u][v] = e
+        inc[v][u] = e
+    g._incident = inc
+    return inc
 
 
 # -- generators -----------------------------------------------------------

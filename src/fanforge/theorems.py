@@ -625,10 +625,12 @@ def _max_fan_for(g, r, s1, cfg, space: ColoringSpace) -> MaxFanResult:
     """The lemma suite's maximum fan at r from rs1: exhaustive over `space`
     (the colorings of G - rs1, searched by their first-use normal forms)
     when its orbit sum is at most fan_budget + 1, else a reachability
-    search of fan_budget expansions from its first coloring."""
+    search of fan_budget expansions from its first coloring, which stops
+    once its fan spans every admissible spoke."""
     cap = cfg.fan_budget + 1
     if space.size(cap) > cap:
-        return search_maximum_multifan(g, r, s1, "reachability", cfg.fan_budget, space)
+        return search_maximum_multifan(g, r, s1, "reachability", cfg.fan_budget,
+                                       space, stop_when_spanning=True)
     return search_maximum_multifan(g, r, s1, "exhaustive", cap, space)
 
 

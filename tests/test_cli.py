@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -333,10 +334,11 @@ def test_bad_env_budget_is_an_op_error(value):
     assert "--budget" not in r.stderr
 
 
-# The exit code and the SHA-256 digests of stdout and stderr of four
+# The exit code and the SHA-256 digests of stdout and stderr of five
 # commands, pinned so that a change meant to keep every byte shows that it
 # does. The verify run covers the reachability search and CONDITIONAL
-# verdicts.
+# verdicts; the second tau run a reachability search that stops at a
+# spanning fan.
 BYTE_GUARD = [
     (
         ("verify", "--checks", "all", "Du[", "Ecto", "F@de?", "Funjw"),
@@ -357,6 +359,12 @@ BYTE_GUARD = [
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
+        ("tau", "--edge", "0-3", "--mode", "reachability", "F}qzw"),
+        0,
+        "9369741520a87942690f54a67d89eaacc91910a986c6c18484c2813f0d75bd02",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
         ("classify", "Dhc"),
         0,
         "262e638903bf45d45457720e75d5fb79e864e04cf9f4582079b14f25e8817e5a",
@@ -365,8 +373,18 @@ BYTE_GUARD = [
 ]
 
 
+def _guard_ids(cases):
+    """Each case named by its command, numbered from a command's second case."""
+    seen = Counter()
+    ids = []
+    for args, *_ in cases:
+        seen[args[0]] += 1
+        ids.append(args[0] + (str(seen[args[0]]) if seen[args[0]] > 1 else ""))
+    return ids
+
+
 @pytest.mark.parametrize("args,code,out_sha,err_sha", BYTE_GUARD,
-                         ids=[case[0][0] for case in BYTE_GUARD])
+                         ids=_guard_ids(BYTE_GUARD))
 def test_cli_bytes_are_unchanged(args, code, out_sha, err_sha):
     r = run_cli(*args)
     assert r.returncode == code

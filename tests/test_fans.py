@@ -324,6 +324,21 @@ def test_kierstead_pass_when_gate_holds():
     assert seen_pass
 
 
+@pytest.mark.parametrize("vertices,violation", [
+    ((1, 2, 4, 0), "first pair is not the uncolored edge"),
+    ((0, 1, 2, 3), "1 and 2 are not adjacent"),
+], ids=["first-pair", "not-adjacent"])
+def test_malformed_kierstead_path_is_not_a_kierstead_path(vertices, violation):
+    # Funjw with edge 0 = 0-1 uncolored; 1 and 2 are not adjacent
+    g = from_graph6("Funjw")
+    phi = ColoringSpace(g, 0, degree_profile(g).delta).normal()[0]
+    kp = KiersteadPath(vertices, 0)
+    assert violation in check_kierstead_path(g, phi, kp)
+    v = verify_kp_elementary(g, phi, kp, critical=True, class_two=True)
+    assert v.status == "FAIL"
+    assert v.detail["reason"] == "not a Kierstead path"
+
+
 def test_stable_swap_verifiers_on_k5e():
     g = delete_edge(complete(5), 0)
     e = g.edge_id(2, 0)

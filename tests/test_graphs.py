@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from fanforge.graphs import (
     degree_profile,
     delete_edge,
     delete_vertex,
+    incident,
     is_core_acyclic,
     light_vertices,
     path,
@@ -149,6 +152,17 @@ def test_light_vertices():
     for v in range(g.n):
         cnt = sum(1 for w in g.adjacency[v] if prof.degrees[w] == prof.delta)
         assert (v in lv) == (cnt <= 2)
+
+
+def test_incident_maps_each_neighbor_to_its_edge_id():
+    g = delete_vertex(petersen(), 0)
+    inc = incident(g)
+    assert inc is incident(g)
+    for v in range(g.n):
+        assert tuple(inc[v]) == g.adjacency[v]
+        assert all(e == g.edge_id(v, w) for w, e in inc[v].items())
+    # like the other memos, the table stays out of pickles
+    assert not hasattr(pickle.loads(pickle.dumps(g)), "_incident")
 
 
 def test_generators():

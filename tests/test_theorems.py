@@ -208,6 +208,25 @@ def test_lemma_suite_searches_one_maximum_fan_per_orientation(monkeypatch):
     assert searches == Counter({(r, s1, "reachability"): 1 for r, s1 in oriented})
 
 
+def test_lemma_suite_reachability_expansions_on_funjw_are_pinned(monkeypatch):
+    # Funjw sends six orientations to the reachability search at the
+    # default fan_budget. Full searches expand 3,200 states; stopped at a
+    # spanning fan, five end at their first coloring and one after 7
+    explored = []
+    real = fans.search_maximum_multifan
+
+    def counting(g, r, s1, mode="exhaustive", *args, **kwargs):
+        res = real(g, r, s1, mode, *args, **kwargs)
+        if mode == "reachability":
+            explored.append(res.explored)
+        return res
+
+    monkeypatch.setattr(theorems, "search_maximum_multifan", counting)
+    run_lemma_suite(FUNJW, ScanConfig(checks=LEMMA_CHECKS), LEMMA_CHECKS)
+    assert len(explored) == 6
+    assert sum(explored) == 7
+
+
 def test_pfan_extends_the_fan_rs1_linkage_reads(monkeypatch):
     # at fan_budget 50 the spaces of F~z^w take the reachability branch,
     # where a pseudo-fan with its own smaller search would start elsewhere
@@ -488,6 +507,52 @@ WITHIN_BUDGET = (
     "chromatic index undecided within budget",
     "criticality undecided within budget",
 )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("budget", [5, 50, 2000])
+def test_spanning_stop_keeps_the_full_reachability_result(budget):
+    # every critical-edge orientation of the corpus: the search stopped at
+    # a spanning fan returns the full search's coloring, fan and status
+    stopped = 0
+    for line in CLASS2_N7.read_text().split():
+        g = from_graph6(line)
+        delta = degree_profile(g).delta
+        for e in solver.graph_facts(g).critical_edges():
+            space = solver.ColoringSpace(g, e, delta)
+            u, v = g.endpoints(e)
+            for r, s1 in ((u, v), (v, u)):
+                full = fans.search_maximum_multifan(g, r, s1, "reachability", budget, space)
+                stop = fans.search_maximum_multifan(
+                    g, r, s1, "reachability", budget, space, stop_when_spanning=True
+                )
+                assert stop.phi.signature() == full.phi.signature(), (line, r, s1)
+                assert stop.fan.to_json() == full.fan.to_json(), (line, r, s1)
+                assert stop.status == full.status == "LOWER-BOUND"
+                assert stop.explored <= full.explored
+                stopped += stop.explored < full.explored
+    assert stopped > 0
+
+
+def test_spanning_stop_counts_only_states_the_full_search_expands():
+    # FKn^_ from edge 5-0: a spanning state is generated during the fourth
+    # expansion, at a position past 5, so a full search of budget 5 never
+    # expands it and keeps a smaller fan
+    g = from_graph6("FKn^_")
+    r, s1 = 5, 0
+    prof = degree_profile(g)
+    spanning = 1 + len({s1}.union(
+        w for w in g.adjacency[r] if prof.degrees[w] < prof.delta))
+    deeper = fans.search_maximum_multifan(g, r, s1, "reachability", 100,
+                                          stop_when_spanning=True)
+    assert deeper.fan.size() == spanning and deeper.explored < 5
+    full = fans.search_maximum_multifan(g, r, s1, "reachability", 5)
+    assert full.fan.size() < spanning
+    stop = fans.search_maximum_multifan(g, r, s1, "reachability", 5,
+                                        stop_when_spanning=True)
+    assert stop.phi.signature() == full.phi.signature()
+    assert stop.fan.to_json() == full.fan.to_json()
+    assert stop.explored == full.explored == 5
 
 
 @pytest.mark.parametrize("budget", [10, 20, 40])
