@@ -246,6 +246,25 @@ def _fan_chains(
     return chains, (roots[0], roots[1])
 
 
+def typical_shape_error(
+    g: SimpleGraph, r: int, sequence: Sequence[int]
+) -> Optional[str]:
+    """Why no coloring takes a fan at r with these spokes to the typical
+    form: the center is not light, or a spoke's degree is not maximum
+    degree minus one. None when neither holds. It reads no color."""
+    prof = degree_profile(g)
+    delta = prof.delta
+    if r not in light_vertices(g):
+        return "center is not light"
+    for s in sequence:
+        if prof.degrees[s] != delta - 1:
+            return (
+                f"spoke {s} has degree {prof.degrees[s]}, "
+                f"need maximum degree minus one = {delta - 1}"
+            )
+    return None
+
+
 def normalize_typical(
     g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
 ) -> NormalizedFan:
@@ -260,16 +279,10 @@ def normalize_typical(
     r = fan.center
     s1 = fan.sequence[0]
     k = phi.k
-    prof = degree_profile(g)
-    delta = prof.delta
-    if r not in light_vertices(g):
-        raise FanError("center is not light")
-    for s in fan.sequence:
-        if prof.degrees[s] != delta - 1:
-            raise FanError(
-                f"spoke {s} has degree {prof.degrees[s]}, "
-                f"need maximum degree minus one = {delta - 1}"
-            )
+    delta = degree_profile(g).delta
+    bad = typical_shape_error(g, r, fan.sequence)
+    if bad is not None:
+        raise FanError(bad)
     if not phi.is_elementary(fan.vertex_set()):
         raise FanError("fan vertex set is not elementary")
     chains, roots = _fan_chains(phi, g, fan)

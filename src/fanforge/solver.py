@@ -497,6 +497,10 @@ def parity_check(g: SimpleGraph, phi: PartialEdgeColoring) -> ParityReport:
 class ColoringEnumeration:
     colorings: list[PartialEdgeColoring]
     truncated: bool
+    # per coloring, the index of its color-renaming orbit (its normal
+    # coloring) when the space was built from its orbits; None for a true
+    # prefix, which the full walk builds
+    orbits: Optional[list[int]] = None
 
     def __iter__(self) -> Iterator[PartialEdgeColoring]:
         return iter(self.colorings)
@@ -541,7 +545,8 @@ class ColoringSpace:
     normal colorings, each orbit expanded and the color tuples sorted,
     which is exactly `iter_colorings` order; only a true prefix of a
     larger space runs the full walk, materialized as far as the largest
-    such prefix asked for.
+    such prefix asked for. A prefix built from the orbits also says which
+    orbit each coloring belongs to.
 
     The colorings are shared between callers and are read-only.
     """
@@ -564,7 +569,8 @@ class ColoringSpace:
         # the full walk, for a true prefix only
         self._source = iter_colorings(g, e, k)
         self._seen: list[PartialEdgeColoring] = []
-        self._complete = False  # _seen holds the whole space
+        # the orbit index of each of _seen, set once _seen holds the whole space
+        self._orbits: Optional[list[int]] = None
 
     def size(self, limit: Optional[int] = None) -> int:
         """The number of colorings, exact when it is at most `limit` (or
@@ -600,10 +606,12 @@ class ColoringSpace:
         if limit is not None:
             limit = max(limit, 0)
         seen = self._seen
-        if not self._complete and (limit is None or self.size(limit) <= limit):
+        if self._orbits is None and (limit is None or self.size(limit) <= limit):
             self._expand()
-        if self._complete:
-            return ColoringEnumeration(seen[:limit], limit is not None and len(seen) > limit)
+        if self._orbits is not None:
+            return ColoringEnumeration(
+                seen[:limit], limit is not None and len(seen) > limit, self._orbits[:limit]
+            )
         # a true prefix: size() > limit, so the space holds more
         if len(seen) < limit:
             seen.extend(islice(self._source, limit - len(seen)))
@@ -611,21 +619,22 @@ class ColoringSpace:
 
     def _expand(self) -> None:
         """Materialize the whole space from the orbits of the normal
-        colorings, keeping the colorings already materialized."""
+        colorings, keeping the colorings already materialized, and record
+        each coloring's orbit."""
         self.size()
         k = self.k
         out = []
-        for colors, c in self._leaves:
+        for orbit, (colors, c) in enumerate(self._leaves):
             for names in permutations(range(1, k + 1), c):
-                out.append(tuple(None if x is None else names[x - 1] for x in colors))
+                out.append((tuple(None if x is None else names[x - 1] for x in colors), orbit))
         out.sort()
         seen = self._seen
         g, e = self.graph, self.edge
         seen.extend(
             PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
-            for colors in out[len(seen):]
+            for colors, _ in out[len(seen):]
         )
-        self._complete = True
+        self._orbits = [orbit for _, orbit in out]
 
 
 def enumerate_colorings(

@@ -26,6 +26,7 @@ from .fans import (
     normalize_typical,
     search_maximum_multifan,
     stability_class,
+    typical_shape_error,
     verify_fan_elementary,
     verify_fan_linkage,
     verify_kp_elementary,
@@ -641,11 +642,36 @@ def _note(out: dict, names: Iterable[str], status: str, reason: str) -> None:
         out[c].append(V.Verdict(c, status, {"reason": reason}))
 
 
+def _verdict(memo: dict, key, verify, g, phi, obj, *, exact: bool) -> V.Verdict:
+    """The verdict memoized under `key`, else `verify`'s on (g, phi, obj).
+    Under an `exact` key, which holds the verifier's whole input, any
+    verdict is kept; under a renaming-class key only a PASS or an
+    INAPPLICABLE is, whose details name no color. A FAIL names its colors
+    and its coloring line, so each coloring computes its own."""
+    v = memo.get(key)
+    if v is None:
+        v = verify(g, phi, obj, critical=True, class_two=True)
+        if exact or v.status != V.FAIL:
+            memo[key] = v
+    return v
+
+
 def run_lemma_suite(
     g: SimpleGraph, cfg: ScanConfig, checks: Sequence[str]
 ) -> dict[str, list[V.Verdict]]:
     """Run the fan/recoloring checks over every critical edge, both
-    orientations, and a deterministic sample of colorings."""
+    orientations, and a deterministic sample of colorings.
+
+    Renaming the colors of phi renames every missing set, chain and root
+    the fan and Kierstead checks read, so they give sigma(phi) the verdict
+    they give phi when they read the same sequence. Each coloring gets its
+    own verdict, but per orientation a verifier runs once per key:
+    `fan-elementary` and `fan-linkage` per (renaming class, fan sequence),
+    the order of which part (c) of the linkage reads; `kierstead` per
+    (renaming class, path); the swap checks per (normalized assignment,
+    normalized sequence), their whole input. A renaming class is an orbit
+    of a space built from its orbits, and a single coloring of a true
+    prefix."""
     want = set(checks)
     out: dict[str, list[V.Verdict]] = {c: [] for c in want}
     gate = _hypothesis_gate("lemmas", g, budget=cfg.budget, assume="criticality")
@@ -669,7 +695,11 @@ def run_lemma_suite(
         # every coloring when the space is small, else the first
         # MAX_COLORINGS in enumeration order
         small = space.size(ENUM_CAP) <= ENUM_CAP
-        phis = space.prefix(None if small else MAX_COLORINGS).colorings
+        sample = space.prefix(None if small else MAX_COLORINGS)
+        phis = sample.colorings
+        # each coloring's renaming class: its orbit when the space was built
+        # from its orbits, else the coloring alone
+        orbits = sample.orbits if sample.orbits is not None else range(len(phis))
         u, v = g.endpoints(e)
         for r, s1 in ((u, v), (v, u)):
             # the tau/shifting/pseudo-fan machinery lives at a light center
@@ -684,40 +714,50 @@ def run_lemma_suite(
                 else:
                     _note(out, max_checks, V.INAPPLICABLE,
                           "center is not light with a (Delta-1)-degree spoke")
-            for phi in phis:
+            memo: dict = {}
+            for phi, orbit in zip(phis, orbits):
                 fan = grow_multifan(g, phi, r, s1)
-                if "fan-elementary" in want:
-                    out["fan-elementary"].append(
-                        verify_fan_elementary(g, phi, fan, critical=True, class_two=True)
-                    )
-                if "fan-linkage" in want:
-                    out["fan-linkage"].append(
-                        verify_fan_linkage(g, phi, fan, critical=True, class_two=True)
-                    )
+                for name, verify in (("fan-elementary", verify_fan_elementary),
+                                     ("fan-linkage", verify_fan_linkage)):
+                    if name in want:
+                        out[name].append(_verdict(
+                            memo, (name, orbit, fan.sequence), verify, g, phi, fan,
+                            exact=False,
+                        ))
                 if "kierstead" in want:
                     kp = grow_kierstead_path(g, phi, r, s1, max_len=4)
-                    out["kierstead"].append(
-                        verify_kp_elementary(g, phi, kp, critical=True, class_two=True)
-                    )
+                    out["kierstead"].append(_verdict(
+                        memo, ("kierstead", orbit, kp.vertices), verify_kp_elementary,
+                        g, phi, kp, exact=False,
+                    ))
                 if swap_checks:
+                    # the typical form's degree conditions read no color:
+                    # one answer per fan sequence
+                    shape = ("typical-shape", fan.sequence)
+                    if shape not in memo:
+                        bad = typical_shape_error(g, r, fan.sequence)
+                        memo[shape] = None if bad is None else [
+                            V.inapplicable(c, f"not normalizable: {bad}")
+                            for c in swap_checks
+                        ]
+                    if memo[shape] is not None:
+                        for verdict in memo[shape]:
+                            out[verdict.check].append(verdict)
+                        continue
                     try:
                         norm = normalize_typical(g, phi, fan)
                     except FanError as exc:
                         _note(out, swap_checks, V.INAPPLICABLE,
                               f"not normalizable: {exc}")
-                    else:
-                        if "stable-swaps" in want:
-                            out["stable-swaps"].append(
-                                verify_stable_swaps(
-                                    g, norm.phi, norm.fan, critical=True, class_two=True
-                                )
-                            )
-                        if "vf-stable-swaps" in want:
-                            out["vf-stable-swaps"].append(
-                                verify_vf_stable_swaps(
-                                    g, norm.phi, norm.fan, critical=True, class_two=True
-                                )
-                            )
+                        continue
+                    key = (tuple(norm.phi.assignment), norm.fan.sequence)
+                    for name, verify in (("stable-swaps", verify_stable_swaps),
+                                         ("vf-stable-swaps", verify_vf_stable_swaps)):
+                        if name in want:
+                            out[name].append(_verdict(
+                                memo, (name,) + key, verify, g, norm.phi, norm.fan,
+                                exact=True,
+                            ))
             if maxres is None:
                 continue
             # one normalized maximum fan per orientation: every check below

@@ -3,7 +3,9 @@
 A check never passes vacuously: when its hypotheses fail it reports
 INAPPLICABLE. FAIL verdicts must carry enough detail to replay the
 violation. CONDITIONAL marks conclusions that hold for everything
-explored under a budget-limited quantifier.
+explored under a budget-limited quantifier. A verdict is frozen, since
+the lemma suite appends one verdict for every coloring of a renaming
+class.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ UNKNOWN = "UNKNOWN"
 CONDITIONAL = "CONDITIONAL"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     check: str
     status: str

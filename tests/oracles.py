@@ -9,7 +9,9 @@ augmentation loop over a certificate with tuple refinement signatures,
 and an automorphism counter that extends partial maps vertex by vertex.
 The Kempe-chain references are the closure-based walk that `chain_at` and
 `chains` used before the flat by-color table, reading colors from the
-assignment alone, and a swap that repaints the whole coloring.
+assignment alone, and a swap that repaints the whole coloring. The
+lemma-sample reference runs every per-coloring verifier on every sampled
+coloring, with no verdict reused across colorings.
 """
 
 from __future__ import annotations
@@ -384,3 +386,56 @@ def kempe_swap_reference(phi, chain):
     return PartialEdgeColoring.from_assignment(
         phi.graph, phi.k, colors, uncolored=phi.uncolored
     )
+
+
+def lemma_verdicts_reference(g, phi, r, s1):
+    """The fan grown at (r, s1) under phi, its Kierstead path, and the
+    verdict of each per-coloring lemma check (`fan-elementary`,
+    `fan-linkage`, `kierstead`, `stable-swaps`, `vf-stable-swaps`), each
+    verifier run afresh; a fan that cannot be normalized gives the swap
+    checks INAPPLICABLE."""
+    from fanforge import fans as F
+    from fanforge import verdicts as V
+
+    hyp = {"critical": True, "class_two": True}
+    fan = F.grow_multifan(g, phi, r, s1)
+    kp = F.grow_kierstead_path(g, phi, r, s1, max_len=4)
+    out = {
+        "fan-elementary": F.verify_fan_elementary(g, phi, fan, **hyp),
+        "fan-linkage": F.verify_fan_linkage(g, phi, fan, **hyp),
+        "kierstead": F.verify_kp_elementary(g, phi, kp, **hyp),
+    }
+    try:
+        norm = F.normalize_typical(g, phi, fan)
+    except F.FanError as exc:
+        for c in ("stable-swaps", "vf-stable-swaps"):
+            out[c] = V.inapplicable(c, f"not normalizable: {exc}")
+    else:
+        out["stable-swaps"] = F.verify_stable_swaps(g, norm.phi, norm.fan, **hyp)
+        out["vf-stable-swaps"] = F.verify_vf_stable_swaps(g, norm.phi, norm.fan, **hyp)
+    return fan, kp, out
+
+
+def lemma_sample_verdicts_reference(
+    g, enum_cap: int, max_colorings: int
+) -> dict[str, list[dict]]:
+    """The verdict JSON of each per-coloring lemma check in
+    `run_lemma_suite`'s order: every critical edge, both orientations, and
+    `lemma_verdicts_reference` on each sampled coloring. The sample of
+    G - e is every Delta-coloring when there are at most `enum_cap`, else
+    the first `max_colorings`, drawn from `colorings_reference`."""
+    from fanforge.graphs import degree_profile
+    from fanforge.solver import graph_facts
+
+    out: dict[str, list[dict]] = {}
+    delta = degree_profile(g).delta
+    for e in graph_facts(g).critical_edges():
+        every = colorings_reference(g.n, list(g.edges), e, delta)
+        sample = every if len(every) <= enum_cap else every[:max_colorings]
+        u, v = g.endpoints(e)
+        for r, s1 in ((u, v), (v, u)):
+            for colors in sample:
+                phi = PartialEdgeColoring.from_assignment(g, delta, colors, uncolored=e)
+                for c, verdict in lemma_verdicts_reference(g, phi, r, s1)[2].items():
+                    out.setdefault(c, []).append(verdict.to_json())
+    return out

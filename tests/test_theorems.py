@@ -1,5 +1,9 @@
+import dataclasses
+import functools
 import hashlib
+import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -7,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanforge import fans, graphs, solver, theorems
+from fanforge import verdicts as V
+from fanforge.colorings import PartialEdgeColoring
 from fanforge.graphs import (
     SimpleGraph,
     complete,
@@ -36,6 +42,7 @@ from fanforge.theorems import (
     verify_pfan_adjacency,
     verify_pfan_properties,
 )
+from oracles import lemma_sample_verdicts_reference, lemma_verdicts_reference
 
 PM = delete_vertex(petersen(), 0)
 K5E = delete_edge(complete(5), 0)
@@ -808,3 +815,220 @@ def test_main_fail_is_a_graph_that_is_not_overfull(monkeypatch):
     assert 2 * delta > n + 2 and prof.core_min_degree <= 2
     # the conclusion: |E| > Delta * floor(n / 2)
     assert m <= delta * (n // 2)
+
+
+# -- one verdict per renaming class ---------------------------------------------
+
+
+CLASS2_LINES = CLASS2_N7.read_text().split()
+PER_COLORING = ("fan-elementary", "fan-linkage", "kierstead", "stable-swaps",
+                "vf-stable-swaps")
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_colorings(line: str, e: int):
+    g = from_graph6(line)
+    return g, solver.ColoringSpace(g, e, degree_profile(g).delta).normal()
+
+
+@functools.lru_cache(maxsize=None)
+def _critical_edges(line: str) -> list[int]:
+    return solver.graph_facts(from_graph6(line)).critical_edges()
+
+
+def _rename(phi: PartialEdgeColoring, sigma) -> PartialEdgeColoring:
+    """sigma(phi): each color c becomes sigma[c - 1]."""
+    return PartialEdgeColoring.from_assignment(
+        phi.graph, phi.k,
+        [None if c is None else sigma[c - 1] for c in phi.assignment],
+        uncolored=phi.uncolored,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_renaming_colors_keeps_every_per_coloring_verdict(data):
+    # the fact the lemma suite's memo rests on: phi and sigma(phi) get the
+    # same status, and the same verdict JSON where they grow the same fan
+    # sequence or Kierstead path
+    line = data.draw(st.sampled_from([s for s in CLASS2_LINES if _critical_edges(s)]))
+    e = data.draw(st.sampled_from(_critical_edges(line)))
+    g, normal = _normal_colorings(line, e)
+    k = normal[0].k
+    # every coloring of G - e is a renaming of a normal one
+    phi = _rename(data.draw(st.sampled_from(normal)),
+                  data.draw(st.permutations(range(1, k + 1))))
+    sigma = data.draw(st.permutations(range(1, k + 1)))
+    r, s1 = g.endpoints(e)[::data.draw(st.sampled_from([1, -1]))]
+    fan, kp, got = lemma_verdicts_reference(g, phi, r, s1)
+    fan2, kp2, got2 = lemma_verdicts_reference(g, _rename(phi, sigma), r, s1)
+    assert set(fan2.sequence) == set(fan.sequence)
+    for c in ("fan-elementary", "fan-linkage", "stable-swaps", "vf-stable-swaps"):
+        assert got2[c].status == got[c].status, c
+    if fan2.sequence == fan.sequence:
+        for c in ("fan-elementary", "fan-linkage"):
+            assert got2[c].to_json() == got[c].to_json(), c
+    if kp2.vertices == kp.vertices:
+        assert got2["kierstead"].to_json() == got["kierstead"].to_json()
+
+
+def test_prefix_orbits_are_the_renaming_classes():
+    # each coloring of a space built from its orbits carries the index of
+    # its first-use normal form among the normal colorings; a true prefix
+    # carries none
+    for g, e in ((PM, 0), (FUNJW, 0)):
+        space = solver.ColoringSpace(g, e, degree_profile(g).delta)
+        normal = [phi.to_line() for phi in space.normal()]
+        sample = space.prefix(theorems.ENUM_CAP)
+        if sample.truncated:
+            assert sample.orbits is None
+            continue
+        assert len(sample.orbits) == len(sample.colorings)
+        for phi, orbit in zip(sample.colorings, sample.orbits):
+            names: dict = {}
+            for c in phi.assignment:
+                if c is not None:
+                    names.setdefault(c, len(names) + 1)
+            assert _rename(phi, [names.get(c, 0) for c in range(1, phi.k + 1)]).to_line() \
+                == normal[orbit]
+        assert sample.orbits[:3] == space.prefix(3).orbits
+
+
+@pytest.mark.parametrize("whole_orbit", [False, True])
+def test_lemma_suite_never_copies_a_fail(monkeypatch, whole_orbit):
+    # fan-elementary FAILs on the first coloring of an orbit of PM's first
+    # space, or on every coloring of it, at one orientation. Each FAIL
+    # names its own coloring line, and no coloring takes a FAIL it did
+    # not compute
+    e = _critical_edges(to_graph6(PM))[0]
+    sample = solver.ColoringSpace(PM, e, 3).prefix(theorems.ENUM_CAP)
+    assert not sample.truncated
+    lines = [phi.to_line() for phi in sample.colorings]
+    members = [i for i, o in enumerate(sample.orbits) if o == sample.orbits[0]]
+    assert len(members) > 1
+    failing = {lines[i] for i in (members if whole_orbit else members[:1])}
+    r = PM.endpoints(e)[0]
+    real = theorems.verify_fan_elementary
+    calls = Counter()
+
+    def flaky(g, phi, fan, **kwargs):
+        if fan.center == r and phi.uncolored == e:
+            calls[phi.to_line()] += 1
+            if phi.to_line() in failing:
+                return V.failed("fan-elementary", coloring=phi.to_line())
+        return real(g, phi, fan, **kwargs)
+
+    monkeypatch.setattr(theorems, "verify_fan_elementary", flaky)
+    out = run_lemma_suite(PM, ScanConfig(checks=("fan-elementary",)), ("fan-elementary",))
+    first = out["fan-elementary"][:len(lines)]
+    for line, v in zip(lines, first):
+        if line in failing:
+            assert v.status == "FAIL" and v.detail["coloring"] == line
+        else:
+            assert v.status == "PASS"
+    assert sum(v.status == "FAIL" for v in out["fan-elementary"]) == len(failing)
+    # every failing coloring ran the verifier once, and so did the first
+    # member of the orbit after them, since no FAIL was kept for it
+    assert all(calls[line] == 1 for line in failing)
+    if not whole_orbit:
+        assert calls[lines[members[1]]] == 1
+
+
+def test_lemma_suite_verifier_calls_on_fbnn_are_pinned(monkeypatch):
+    # FBnn_ has 13 critical edges whose spaces hold 74 orbits; every
+    # coloring still gets its own verdict, but each verifier runs once per
+    # key of its orientation
+    g = from_graph6("FBnn_")
+    calls = Counter()
+    for name in ("verify_fan_elementary", "verify_fan_linkage", "verify_kp_elementary",
+                 "verify_stable_swaps", "verify_vf_stable_swaps", "normalize_typical"):
+        real = getattr(theorems, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, name, counting)
+    crit = _critical_edges("FBnn_")
+    spaces = [solver.ColoringSpace(g, e, degree_profile(g).delta) for e in crit]
+    assert len(crit) == 13 and sum(len(s.normal()) for s in spaces) == 74
+    sampled = 2 * sum(len(s.prefix(theorems.ENUM_CAP)) for s in spaces)
+    out = run_lemma_suite(g, ScanConfig(checks=PER_COLORING), PER_COLORING)
+    assert {c: len(vs) for c, vs in out.items()} == dict.fromkeys(PER_COLORING, sampled)
+    # 3,552 calls of each verifier without the memo, and 3,552 - 3,168
+    # normalizations: the other colorings' fans fail the typical form's
+    # degree conditions, answered once per sequence
+    assert sampled == 3552
+    assert dict(calls) == {
+        "verify_fan_elementary": 148,  # 74 orbits x 2 orientations
+        "verify_fan_linkage": 148,
+        "verify_kp_elementary": 244,
+        "normalize_typical": 384,
+        "verify_stable_swaps": 16,
+        "verify_vf_stable_swaps": 16,
+    }
+
+
+def test_lemma_suite_keys_fan_verdicts_by_the_fan_sequence(monkeypatch):
+    # no orbit of a small space of the corpus grows two fan sequences, so
+    # every second coloring here grows its fan with the spokes after s1
+    # reversed. Part (c) of the linkage reads the spoke order: a verdict of
+    # one order is never given to the other, so each (orientation, orbit,
+    # sequence) grown is verified
+    g = from_graph6("FBnn_")
+    orbit_of = {}
+    for e in _critical_edges("FBnn_"):
+        sample = solver.ColoringSpace(g, e, degree_profile(g).delta).prefix(None)
+        for phi, orbit in zip(sample.colorings, sample.orbits):
+            orbit_of[phi.to_line()] = orbit
+    real = theorems.grow_multifan
+    flip = itertools.count()
+    grown, verified = set(), set()
+
+    def key(phi, fan):
+        return (fan.center, fan.uncolored_edge, orbit_of[phi.to_line()], fan.sequence)
+
+    def grow(g, phi, r, s1):
+        fan = real(g, phi, r, s1)
+        if next(flip) % 2:
+            fan = dataclasses.replace(fan, sequence=fan.sequence[:1] + fan.sequence[:0:-1])
+        grown.add(key(phi, fan))
+        return fan
+
+    def recording(verify):
+        def run(g, phi, fan, **kwargs):
+            verified.add((verify.__name__,) + key(phi, fan))
+            return verify(g, phi, fan, **kwargs)
+        return run
+
+    monkeypatch.setattr(theorems, "grow_multifan", grow)
+    for name in ("verify_fan_elementary", "verify_fan_linkage"):
+        monkeypatch.setattr(theorems, name, recording(getattr(theorems, name)))
+    checks = ("fan-elementary", "fan-linkage")
+    run_lemma_suite(g, ScanConfig(checks=checks), checks)
+    # some orbit grew both orders
+    assert len({k[:3] for k in grown}) < len(grown)
+    for name in ("verify_fan_elementary", "verify_fan_linkage"):
+        assert {(name,) + k for k in grown} <= verified
+
+
+def test_lemma_suite_equals_the_unmemoized_loop_under_relabelings():
+    # the benchmark scans relabeled graphs: the per-coloring verdicts equal
+    # the reference loop's, which runs every verifier on every coloring.
+    # FBnn_ and D}{ take every coloring, Funjw a true prefix of 10
+    for line in ("D}{", "FBnn_", "Funjw"):
+        g = from_graph6(line)
+        for seed in (3, 7):
+            perm = random.Random(seed).sample(range(g.n), g.n)
+            h = SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            out = run_lemma_suite(h, ScanConfig(checks=LEMMA_CHECKS), LEMMA_CHECKS)
+            ref = lemma_sample_verdicts_reference(h, theorems.ENUM_CAP, theorems.MAX_COLORINGS)
+            assert set(ref) == set(PER_COLORING)
+            for name in PER_COLORING:
+                assert [v.to_json() for v in out[name]] == ref[name], (line, seed, name)
+
+
+def test_verdicts_are_frozen():
+    v = V.passed("fan-elementary", vertices=[0, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.status = V.FAIL
