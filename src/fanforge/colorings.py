@@ -431,24 +431,36 @@ class PartialEdgeColoring:
     @classmethod
     def from_line(cls, graph: SimpleGraph, line: str) -> "PartialEdgeColoring":
         head, _, rest = line.partition(";")
-        k = int(head.strip())
-        colors: list[Optional[int]] = [None] * len(graph.edges)
-        filled = [False] * len(graph.edges)
+        k = _integer(head, "k")
+        m = len(graph.edges)
+        colors: list[Optional[int]] = [None] * m
+        filled = [False] * m
         rest = rest.strip()
         if rest:
             for part in rest.split(","):
                 es, _, cs = part.partition("=")
-                e = int(es)
+                e = _integer(es, "edge id")
+                if not 0 <= e < m:
+                    raise ColoringError(f"edge id {e} outside [0,{m})")
                 if filled[e]:
                     raise ColoringError(f"edge {e} listed twice")
                 filled[e] = True
-                colors[e] = None if cs.strip() == "_" else int(cs)
+                colors[e] = None if cs.strip() == "_" else _integer(cs, "color")
         if not all(filled):
             raise ColoringError("serialized coloring misses edges")
         return cls.from_assignment(graph, k, colors)
 
     def __repr__(self):
         return f"PartialEdgeColoring({self.to_line()!r})"
+
+
+def _integer(field: str, what: str) -> int:
+    """A field of a serialized coloring as an int; ColoringError if it is
+    not one."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ColoringError(f"{what} {field.strip()!r} is not an integer") from None
 
 
 # -- the operations of the module's public surface -------------------------

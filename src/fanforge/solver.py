@@ -22,15 +22,16 @@ verdict is ever probabilistic.
 
 from __future__ import annotations
 
+import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import permutations
 from math import perm
 from typing import Container, Generator, Iterator, Optional
 
 from .colorings import PartialEdgeColoring
-from .graphs import SimpleGraph, degree_profile, delete_edge
+from .graphs import SimpleGraph, degree_profile, delete_edge, incident
 
 DEFAULT_NODE_BUDGET = 10**8
 # the node budget of the enumerations, which no search exhausts
@@ -85,19 +86,20 @@ def _edge_order(g: SimpleGraph) -> list[int]:
 
 
 def _backtrack(
-    g: SimpleGraph, order: list[int], k: int, first_use: bool, budget: int, colors: list
+    g: SimpleGraph, order: list[int], k: int, budget: int, colors: list
 ) -> Generator[tuple[int, int], None, int]:
-    """The proper k-colorings of the edges in `order`, lexicographic in
-    (position, color): the one backtracking loop of the fixed edge orders.
+    """The first-use normal proper k-colorings of the edges in `order`,
+    lexicographic in (position, color): the one backtracking loop of the
+    fixed edge orders.
 
-    Each leaf writes its colors (1-based, by edge id) into `colors` and
-    yields (the mask of the colors it uses, nodes so far), a node being
-    one color placed; the return value is the node count of the whole
-    search. Raises BudgetExceeded once the nodes exceed `budget`. With
-    `first_use`, a color may be new only if it is the least unused one,
-    so each leaf is the least member of its orbit under renamings of the
-    colors. Backtracks over an explicit stack, so the number of edges is
-    not limited by the recursion limit.
+    A color may be new only if it is the least unused one, so each leaf
+    is the least member of its orbit under renamings of the colors. Each
+    leaf writes its colors (1-based, by edge id) into `colors` and yields
+    (the mask of the colors it uses, nodes so far), a node being one
+    color placed; the return value is the node count of the whole search.
+    Raises BudgetExceeded once the nodes exceed `budget`. Backtracks over
+    an explicit stack, so the number of edges is not limited by the
+    recursion limit.
     """
     m = len(order)
     if m == 0:
@@ -105,16 +107,13 @@ def _backtrack(
         return 0
     ends = [g.edges[e] for e in order]
     missing = [(1 << k) - 1] * g.n
-    # the colors allowed beyond those placed before a position: under the
-    # first-use rule those are 1..j, so (used << 1) | 1 admits only j + 1
-    fresh = 1 if first_use else (1 << k) - 1
     # avail[pos]: colors still to try at order[pos]; chosen[pos]: its
     # current color bit; used[pos]: the colors placed before pos
     avail = [0] * m
     chosen = [0] * m
     used = [0] * m
     nodes = 0
-    avail[0] = fresh & ((1 << k) - 1)  # every color is free at the start
+    avail[0] = 1 if k else 0  # color 1: every color is free at the start
     pos = 0
     while True:
         u, v = ends[pos]
@@ -145,7 +144,9 @@ def _backtrack(
             continue
         # descend only where a color is free, so a dead end costs no pass
         u, v = ends[nxt]
-        a = missing[u] & missing[v] & ((cap << 1) | fresh)
+        # the colors placed before nxt are 1..j, so (cap << 1) | 1 admits
+        # only j + 1 as a new one
+        a = missing[u] & missing[v] & ((cap << 1) | 1)
         if a:
             pos = nxt
             avail[pos] = a
@@ -157,7 +158,7 @@ def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], i
     the first-use rule, or None; the nodes used). The rule is sound for
     both answers, since color classes are interchangeable."""
     colors = [0] * len(g.edges)
-    leaves = _backtrack(g, _edge_order(g), k, True, budget, colors)
+    leaves = _backtrack(g, _edge_order(g), k, budget, colors)
     try:
         return colors, next(leaves)[1]
     except StopIteration as done:
@@ -259,11 +260,7 @@ def shift_certificates(
     (read at each step, so a caller may add to it as it goes), and shifts
     on from every coloring it yields.
     """
-    index = g.edge_index
-    incident = [
-        [index[(v, z) if v < z else (z, v)] for z in g.adjacency[v]]
-        for v in range(g.n)
-    ]
+    inc = incident(g)
     ends = g.edges
     seen = {e}
     work = deque([(colors, e)])
@@ -271,10 +268,10 @@ def shift_certificates(
         colors, vw = work.popleft()
         for v, w in (ends[vw], ends[vw][::-1]):
             at_w = 0
-            for f in incident[w]:
+            for f in inc[w].values():
                 if f != vw:
                     at_w |= 1 << colors[f]
-            for f in incident[v]:
+            for f in inc[v].values():
                 if f in seen or f in settled:
                     continue
                 a = colors[f]
@@ -497,29 +494,15 @@ def parity_check(g: SimpleGraph, phi: PartialEdgeColoring) -> ParityReport:
 class ColoringEnumeration:
     colorings: list[PartialEdgeColoring]
     truncated: bool
-    # per coloring, the index of its color-renaming orbit (its normal
-    # coloring) when the space was built from its orbits; None for a true
-    # prefix, which the full walk builds
-    orbits: Optional[list[int]] = None
+    # per coloring, the index of its color-renaming orbit: of its first-use
+    # normal form in the space's `normal()`
+    orbits: list[int]
 
     def __iter__(self) -> Iterator[PartialEdgeColoring]:
         return iter(self.colorings)
 
     def __len__(self) -> int:
         return len(self.colorings)
-
-
-def iter_colorings(
-    g: SimpleGraph, e: Optional[int], k: int
-) -> Iterator[PartialEdgeColoring]:
-    """All proper k-edge-colorings of G - e, lexicographic in (edge id, color).
-
-    Distinct colorings are distinct maps (no color-symmetry reduction).
-    """
-    colors: list[Optional[int]] = [None] * len(g.edges)
-    live = [i for i in range(len(g.edges)) if i != e]
-    for _ in _backtrack(g, live, k, False, _UNBOUNDED, colors):
-        yield PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
 
 
 def _working_delta(g: SimpleGraph, e: Optional[int]) -> int:
@@ -532,21 +515,27 @@ def _working_delta(g: SimpleGraph, e: Optional[int]) -> int:
 
 
 class ColoringSpace:
-    """The colorings of `iter_colorings(g, e, k)`, each walked at most once.
+    """The proper k-edge-colorings of G - e, lexicographic in (edge id,
+    color), from one walk.
 
     Renaming the colors maps a coloring to a coloring, and the least
-    member of an orbit (in `iter_colorings` order) is its first-use normal
-    form: a color is new only as the least unused one. One lazy walk of
-    `_backtrack` in edge-id order with that break keeps each normal
-    coloring and a running orbit sum, a normal coloring that uses c colors
-    standing for perm(k, c) of them; it stops as soon as the sum passes
-    the limit a caller asks about. So `size` answers "at most N" without
-    building a coloring. A space that fits `prefix`'s limit comes from its
-    normal colorings, each orbit expanded and the color tuples sorted,
-    which is exactly `iter_colorings` order; only a true prefix of a
-    larger space runs the full walk, materialized as far as the largest
-    such prefix asked for. A prefix built from the orbits also says which
-    orbit each coloring belongs to.
+    member of an orbit is its first-use normal form: a color is new only
+    as the least unused one. One lazy walk of `_backtrack` in edge-id
+    order keeps each normal coloring and a running orbit sum, a normal
+    coloring that uses c colors standing for perm(k, c) of them; it stops
+    as soon as the sum passes the limit a caller asks about. So `size`
+    answers "at most N" without building a coloring.
+
+    `prefix` merges the orbits. Two renamings of a normal coloring first
+    differ where it first uses the lowest color they rename apart, so an
+    orbit's members come in enumeration order exactly as
+    `permutations(range(1, k + 1), c)` lists their names. The walk yields
+    normal colorings in enumeration order, so an orbit joins the merge
+    only once its normal coloring is below every coloring waiting in it,
+    and the merge walks at most one normal coloring past the orbits a
+    prefix takes from. The merge state lives in attributes, and a prefix
+    is built once, as far as the largest limit asked for, with each
+    coloring's orbit.
 
     The colorings are shared between callers and are read-only.
     """
@@ -559,38 +548,44 @@ class ColoringSpace:
         self._colors: list[Optional[int]] = [None] * len(g.edges)
         live = [i for i in range(len(g.edges)) if i != e]
         # the normal walk, None once it is exhausted
-        self._walk: Optional[Generator] = _backtrack(
-            g, live, k, True, _UNBOUNDED, self._colors
-        )
+        self._walk: Optional[Generator] = _backtrack(g, live, k, _UNBOUNDED, self._colors)
         # (colors, number of colors used) of each normal coloring walked
         self._leaves: list[tuple[tuple, int]] = []
         self._size = 0  # the orbit sum over _leaves
         self._normal: Optional[list[PartialEdgeColoring]] = None
-        # the full walk, for a true prefix only
-        self._source = iter_colorings(g, e, k)
-        self._seen: list[PartialEdgeColoring] = []
-        # the orbit index of each of _seen, set once _seen holds the whole space
-        self._orbits: Optional[list[int]] = None
+        # the merge: (colors, orbit, its remaining names) per orbit that
+        # joined it and still has members to give, and the orbits joined
+        self._heap: list[tuple[tuple, int, Iterator[tuple[int, ...]]]] = []
+        self._joined = 0
+        # the prefix built so far and the orbit of each of its colorings
+        self._built: list[PartialEdgeColoring] = []
+        self._orbits: list[int] = []
+
+    def _step(self) -> bool:
+        """Walk the next normal coloring; False once there is none."""
+        if self._walk is None:
+            return False
+        try:
+            mask, _ = next(self._walk)
+        except StopIteration:
+            self._walk = None
+            return False
+        c = mask.bit_count()
+        self._leaves.append((tuple(self._colors), c))
+        self._size += perm(self.k, c)
+        return True
 
     def size(self, limit: Optional[int] = None) -> int:
         """The number of colorings, exact when it is at most `limit` (or
         `limit` is None); otherwise some number above `limit`, since the
         normal walk stops once its orbit sum passes `limit`."""
-        k = self.k
-        while self._walk is not None and (limit is None or self._size <= limit):
-            try:
-                mask, _ = next(self._walk)
-            except StopIteration:
-                self._walk = None
-                break
-            c = mask.bit_count()
-            self._leaves.append((tuple(self._colors), c))
-            self._size += perm(k, c)
+        while (limit is None or self._size <= limit) and self._step():
+            pass
         return self._size
 
     def normal(self) -> list[PartialEdgeColoring]:
-        """The first-use normal colorings, one per orbit, in
-        `iter_colorings` order."""
+        """The first-use normal colorings, one per orbit, in enumeration
+        order."""
         if self._normal is None:
             self.size()
             g, k, e = self.graph, self.k, self.edge
@@ -605,36 +600,31 @@ class ColoringSpace:
         `truncated` set when the space holds more."""
         if limit is not None:
             limit = max(limit, 0)
-        seen = self._seen
-        if self._orbits is None and (limit is None or self.size(limit) <= limit):
-            self._expand()
-        if self._orbits is not None:
-            return ColoringEnumeration(
-                seen[:limit], limit is not None and len(seen) > limit, self._orbits[:limit]
-            )
-        # a true prefix: size() > limit, so the space holds more
-        if len(seen) < limit:
-            seen.extend(islice(self._source, limit - len(seen)))
-        return ColoringEnumeration(seen[:limit], True)
-
-    def _expand(self) -> None:
-        """Materialize the whole space from the orbits of the normal
-        colorings, keeping the colorings already materialized, and record
-        each coloring's orbit."""
-        self.size()
-        k = self.k
-        out = []
-        for orbit, (colors, c) in enumerate(self._leaves):
-            for names in permutations(range(1, k + 1), c):
-                out.append((tuple(None if x is None else names[x - 1] for x in colors), orbit))
-        out.sort()
-        seen = self._seen
-        g, e = self.graph, self.edge
-        seen.extend(
-            PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
-            for colors, _ in out[len(seen):]
-        )
-        self._orbits = [orbit for _, orbit in out]
+        size = self.size(limit)
+        want = size if limit is None else min(size, limit)
+        g, k, e = self.graph, self.k, self.edge
+        heap, leaves, built = self._heap, self._leaves, self._built
+        while len(built) < want:
+            j = self._joined
+            if j < len(leaves) or self._step():
+                colors, c = leaves[j]
+                if not heap or colors < heap[0][0]:
+                    names = permutations(range(1, k + 1), c)
+                    next(names)  # the identity: the normal coloring itself
+                    heapq.heappush(heap, (colors, j, names))
+                    self._joined = j + 1
+            colors, orbit, names = heap[0]
+            renamed = next(names, None)
+            if renamed is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (
+                    tuple(None if x is None else renamed[x - 1] for x in leaves[orbit][0]),
+                    orbit, names,
+                ))
+            built.append(PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e))
+            self._orbits.append(orbit)
+        return ColoringEnumeration(built[:want], size > want, self._orbits[:want])
 
 
 def enumerate_colorings(
@@ -643,7 +633,8 @@ def enumerate_colorings(
     k: int,
     limit: Optional[int] = None,
 ) -> ColoringEnumeration:
-    """Materialize iter_colorings up to `limit`; truncation is flagged."""
+    """The first `limit` proper k-edge-colorings of G - e (all when None),
+    lexicographic in (edge id, color); truncation is flagged."""
     return ColoringSpace(g, e, k).prefix(limit)
 
 

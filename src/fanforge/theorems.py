@@ -670,8 +670,7 @@ def run_lemma_suite(
     the order of which part (c) of the linkage reads; `kierstead` per
     (renaming class, path); the swap checks per (normalized assignment,
     normalized sequence), their whole input. A renaming class is an orbit
-    of a space built from its orbits, and a single coloring of a true
-    prefix."""
+    of the space, truncated or whole."""
     want = set(checks)
     out: dict[str, list[V.Verdict]] = {c: [] for c in want}
     gate = _hypothesis_gate("lemmas", g, budget=cfg.budget, assume="criticality")
@@ -696,10 +695,7 @@ def run_lemma_suite(
         # MAX_COLORINGS in enumeration order
         small = space.size(ENUM_CAP) <= ENUM_CAP
         sample = space.prefix(None if small else MAX_COLORINGS)
-        phis = sample.colorings
-        # each coloring's renaming class: its orbit when the space was built
-        # from its orbits, else the coloring alone
-        orbits = sample.orbits if sample.orbits is not None else range(len(phis))
+        phis, orbits = sample.colorings, sample.orbits
         u, v = g.endpoints(e)
         for r, s1 in ((u, v), (v, u)):
             # the tau/shifting/pseudo-fan machinery lives at a light center

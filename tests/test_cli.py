@@ -365,6 +365,13 @@ BYTE_GUARD = [
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
+        # an exhaustive fan whose budget is below the space size
+        ("fan", "--edge", "0-1", "--fan-budget", "7", "Funjw"),
+        0,
+        "654ace19834b39d940aa9b085d2b34006077f42d70d3430917b78160fdb78da2",
+        "6bdea2c15b66af583d71612564a57eafce4ce3a7629972d7104339f30006e8e2",
+    ),
+    (
         ("classify", "Dhc"),
         0,
         "262e638903bf45d45457720e75d5fb79e864e04cf9f4582079b14f25e8817e5a",

@@ -1,5 +1,4 @@
 import random
-from itertools import islice
 
 import pytest
 from conftest import graphs_with_edge, leaf_padded_gadget
@@ -30,7 +29,7 @@ from fanforge.colorings import (
     validate,
 )
 from fanforge.graphs import SimpleGraph, complete, cycle, from_graph6, path
-from fanforge.solver import chromatic_index, iter_colorings
+from fanforge.solver import chromatic_index, enumerate_colorings
 
 
 def test_validate_proper_path():
@@ -173,7 +172,7 @@ def test_are_linked_equals_the_reference_walk(graph_edge, data):
     g, e = graph_edge
     delta = max(g.degrees())
     k = max(delta + data.draw(st.integers(0, 1)), 2)  # two colors to pair
-    states = list(islice(iter_colorings(g, e, k), 2))
+    states = enumerate_colorings(g, e, k, 2).colorings
     if states:
         moves = list(swap_moves(states[0]))
         if moves:
@@ -218,7 +217,7 @@ def test_kempe_bfs_reaches_exactly_the_kempe_closure():
     # through the chain memo) over a signature set
     g = complete(5)
     e = g.edge_id(0, 1)
-    phi = next(iter_colorings(g, e, 5))
+    phi = enumerate_colorings(g, e, 5, 1).colorings[0]
     closure = {phi.signature(): phi}
     stack = [phi]
     while stack:
@@ -309,6 +308,15 @@ def test_from_line_error_paths(c5_fixture):
         PartialEdgeColoring.from_line(g, "2; 0=_,1=2")  # edges missing
     with pytest.raises(ColoringError):
         PartialEdgeColoring.from_line(g, "2; 0=_,1=_,2=1,3=2,4=1")  # two blanks
+    for line in (
+        "2; 0=_,1=2,2=1,3=2,-1=1",  # a negative id, not the last edge
+        "2; 0=_,1=2,2=1,3=2,5=1",  # an id past the last edge
+        "2; 0=_,1=2,2=1,3=2,x=1",  # an id that is not an integer
+        "2; 0=_,1=2,2=1,3=2,4=a",  # a color that is not an integer
+        "two; 0=_,1=2,2=1,3=2,4=1",  # a k that is not an integer
+    ):
+        with pytest.raises(ColoringError):
+            PartialEdgeColoring.from_line(g, line)
 
 
 def test_from_assignment_uncolored_consistency(c5_fixture):
@@ -385,10 +393,10 @@ def test_chain_kernel_equals_reference_on_random_graphs(g, data):
     for k in (delta, delta + 1):
         if len(g.edges) - 1 > k * (g.n // 2):
             # G - e is overfull, so it has no k-coloring, and the
-            # enumeration, with no symmetry break, would have to exhaust
-            # the space to show it (K9 with k = 8 runs for minutes)
+            # enumeration would have to exhaust its normal walk to show
+            # it (K9 with k = 8 runs for more than a minute)
             continue
-        for phi in islice(iter_colorings(g, e, k), 3):
+        for phi in enumerate_colorings(g, e, k, 3):
             _assert_kernel_matches_reference(phi)
             _assert_cut_chains_rejected(phi)
             # and one state a swap away, off the lexicographic order
@@ -477,7 +485,7 @@ def test_chain_memo_equals_reference_along_swap_walks_from_enumerated_colorings(
     k = delta + data.draw(st.integers(0, 1))
     if len(g.edges) - 1 > k * (g.n // 2):
         return
-    states = list(islice(iter_colorings(g, e, k), 3))
+    states = enumerate_colorings(g, e, k, 3).colorings
     if states:
         _walk_checking_chain_memo(data.draw(st.sampled_from(states)), data)
 
@@ -513,7 +521,7 @@ def test_packed_keys_are_equal_exactly_when_signatures_are_equal():
     assert {psi.packed_key() for psi in states} == set(res.parents)
     k4 = complete(4)
     for e in (None, *range(len(k4.edges))):
-        states += iter_colorings(k4, e, 3) if e is None else iter_colorings(k4, e, 4)
+        states += enumerate_colorings(k4, e, 3 if e is None else 4)
     sigs = {(psi.graph.n, psi.signature()) for psi in states}
     keys = {(psi.graph.n, psi.packed_key()) for psi in states}
     pairs = {(psi.graph.n, psi.signature(), psi.packed_key()) for psi in states}

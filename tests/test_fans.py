@@ -35,8 +35,8 @@ from fanforge.solver import (
     ColoringSpace,
     count_colorings,
     enumerate_colorings,
-    iter_colorings,
 )
+from oracles import colorings_reference
 
 
 def k5e_instance():
@@ -114,7 +114,7 @@ def test_verify_fan_linkage_c5(c5_fixture):
 def test_fan_lemmas_across_k5e_colorings():
     g = delete_edge(complete(5), 0)
     e = g.edge_id(2, 0)
-    for phi in iter_colorings(g, e, 4):
+    for phi in enumerate_colorings(g, e, 4):
         fan = grow_multifan(g, phi, 2, 0)
         assert verify_fan_elementary(g, phi, fan, critical=True, class_two=True).ok
         assert verify_fan_linkage(g, phi, fan, critical=True, class_two=True).ok
@@ -167,7 +167,7 @@ def test_search_maximum_k4_minus_edge():
     res = search_maximum_multifan(g, 2, 0, mode="exhaustive")
     assert res.status == "EXACT"
     best = 0
-    for phi in iter_colorings(g, g.edge_id(2, 0), 3):
+    for phi in enumerate_colorings(g, g.edge_id(2, 0), 3):
         best = max(best, grow_multifan(g, phi, 2, 0).size())
     assert res.fan.size() == best
 
@@ -187,13 +187,16 @@ def test_search_exhaustive_budget_bounds_the_colorings_examined(c5_fixture):
 @given(graphs_with_edge(max_edges=8, need_edge=True), st.data())
 def test_exhaustive_search_over_normal_colorings_equals_the_full_search(graph_edge, data):
     # the reference: the first largest fan over every coloring, in
-    # iter_colorings order
+    # enumeration order
     g, e = graph_edge
     delta = max(g.degrees())
     for k in (delta, delta + 1):
         if count_colorings(g, e, k) > 5000:
             continue  # the reference materializes every coloring
-        full = list(iter_colorings(g, e, k))
+        full = [
+            PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
+            for colors in colorings_reference(g.n, list(g.edges), e, k)
+        ]
         below = data.draw(st.integers(1, max(len(full) - 1, 1)))
         for r, s1 in (g.edges[e], g.edges[e][::-1]):
             for budget in (below, len(full), len(full) + 1):
@@ -258,7 +261,7 @@ def test_stability_none_label():
     fan = grow_multifan(g, phi, 2, 0)
     # recolor the whole palette in a way that wrecks s1's missing set
     other = None
-    for cand in iter_colorings(g, g.edge_id(2, 0), 4):
+    for cand in enumerate_colorings(g, g.edge_id(2, 0), 4):
         if cand.missing_at(0) != phi.missing_at(0):
             other = cand
             break

@@ -30,7 +30,6 @@ from fanforge.solver import (
     is_delta_critical,
     is_just_overfull,
     is_overfull,
-    iter_colorings,
     node_budget_default,
     overfull_deficiency,
     parity_check,
@@ -236,12 +235,30 @@ def test_colorable_agrees_with_reference(data):
             assert phi.is_complete() and phi.validate()
 
 
+CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
+
+
+def test_colorable_is_pinned_over_the_class_two_corpus():
+    # colorings and node counts of the DSATUR search on G - e at Delta
+    # colors, for every critical edge e of every graph of the corpus
+    digest = hashlib.sha256()
+    searches = 0
+    for line in CLASS2_N7.read_text().split():
+        g = from_graph6(line)
+        delta = degree_profile(g).delta
+        for e in critical_edges(g):
+            colors, nodes = solver._colorable(delete_edge(g, e), delta, 10**8)
+            digest.update(f"{line} {e} {colors} {nodes}\n".encode())
+            searches += 1
+    assert searches == 390
+    assert digest.hexdigest() == (
+        "aa1779e0d5d5dad955de7f2aea3b54120f0cbe0ed956092cb7d068ddf70feef8"
+    )
+
+
 def test_colorable_raises_when_the_budget_runs_out():
     with pytest.raises(solver.BudgetExceeded):
         solver._colorable(petersen(), 3, 5)
-
-
-CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
 
 
 def deletion_lowers_chi(g, e):
@@ -436,32 +453,38 @@ def test_count_colorings_orbit_sums_equal_the_full_count(graph_edge):
         assert count_colorings(g, e, k) == count_colorings_reference(g.n, live, k), k
 
 
-@settings(max_examples=80, deadline=None)
-@given(graphs_with_edge(max_edges=8), st.data())
-def test_prefix_from_orbits_equals_iter_colorings(graph_edge, data):
-    g, e = graph_edge
-    delta = max(g.degrees())
-    for k in (delta, delta + 1):
-        if count_colorings(g, e, k) > 5000:
-            continue  # the reference materializes every coloring
-        full = [phi.to_line() for phi in iter_colorings(g, e, k)]
-        below = data.draw(st.integers(0, max(len(full) - 1, 0)))
-        above = data.draw(st.integers(len(full), len(full) + 3))
-        # one space per sequence of limits: a fresh one, one that walked
-        # a true prefix first, one that holds the whole space already
-        for limits in ((None,), (below,), (above,), (below, None, below), (above, below)):
-            space = ColoringSpace(g, e, k)
-            for limit in limits:
-                en = space.prefix(limit)
-                assert [phi.to_line() for phi in en] == full[:limit]
-                assert en.truncated == (limit is not None and len(full) > limit)
-
-
 def first_use_relabeling(colors):
     """The coloring whose colors are renamed 1, 2, ... in the order they
     first appear along the edge ids."""
     names = {}
     return tuple(None if c is None else names.setdefault(c, len(names) + 1) for c in colors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_edge(max_edges=8), st.data())
+def test_prefix_from_orbits_equals_iter_colorings(graph_edge, data):
+    # the merge of the orbits is the enumeration, truncated or whole, and
+    # each coloring's orbit is the index of its first-use form in normal()
+    g, e = graph_edge
+    delta = max(g.degrees())
+    for k in (delta, delta + 1):
+        if count_colorings(g, e, k) > 5000:
+            continue  # the reference materializes every coloring
+        full = colorings_reference(g.n, list(g.edges), e, k)
+        normal = [tuple(phi.assignment) for phi in ColoringSpace(g, e, k).normal()]
+        below = data.draw(st.integers(0, max(len(full) - 1, 0)))
+        above = data.draw(st.integers(len(full), len(full) + 3))
+        # one space per sequence of limits: a fresh one, one that built a
+        # true prefix first, one that holds the whole space already
+        for limits in ((None,), (below,), (above,), (below, None, below), (above, below)):
+            space = ColoringSpace(g, e, k)
+            for limit in limits:
+                en = space.prefix(limit)
+                assert [phi.assignment for phi in en] == full[:limit]
+                assert en.truncated == (limit is not None and len(full) > limit)
+                assert en.orbits == [
+                    normal.index(first_use_relabeling(phi.assignment)) for phi in en
+                ]
 
 
 @pytest.mark.parametrize(
@@ -480,7 +503,7 @@ def test_normal_leaves_are_one_per_color_renaming_orbit(g, e, k):
     live = [i for i in range(g.m()) if i != e]
     leaves = [
         tuple(colors)
-        for _ in solver._backtrack(g, live, k, True, solver._UNBOUNDED, colors)
+        for _ in solver._backtrack(g, live, k, solver._UNBOUNDED, colors)
     ]
     orbits = {first_use_relabeling(c) for c in colorings_reference(g.n, list(g.edges), e, k)}
     assert leaves == sorted(orbits)
@@ -510,13 +533,14 @@ def test_enumerate_k_below_delta_rejected():
     ],
 )
 def test_iter_colorings_matches_reference_order(g, e, k):
-    mine = [phi.assignment for phi in iter_colorings(g, e, k)]
+    # the enumeration order, from the merge of the orbits
+    mine = [phi.assignment for phi in enumerate_colorings(g, e, k)]
     assert mine == colorings_reference(g.n, list(g.edges), e, k)
 
 
 def test_iter_colorings_deep_path_has_no_recursion_limit():
     g = path(3001)  # 3,000 edges, far beyond the interpreter's recursion limit
-    phi = next(iter_colorings(g, None, 2))
+    phi = enumerate_colorings(g, None, 2, 1).colorings[0]
     assert phi.assignment == [1 + i % 2 for i in range(3000)]
     assert phi.validate()
 
@@ -531,23 +555,26 @@ def test_coloring_space_prefix_is_enumerate_colorings():
 
 
 def test_coloring_space_is_lazy(monkeypatch):
-    drawn = []
-    real = solver.iter_colorings
+    # a prefix walks the normal colorings of the orbits it takes from, and
+    # at most one more, which starts an orbit past the prefix
+    walked = []
+    real = solver._backtrack
 
-    def counting(g, e, k):
-        for phi in real(g, e, k):
-            drawn.append(phi)
-            yield phi
+    def counting(*args):
+        for leaf in real(*args):
+            walked.append(leaf)
+            yield leaf
 
-    monkeypatch.setattr(solver, "iter_colorings", counting)
-    space = ColoringSpace(complete(4), None, 4)
-    assert drawn == []
-    # the orbit sum tells the truncation, so a prefix draws no coloring
-    # past its limit
-    assert space.prefix(3).truncated and len(drawn) == 3
+    monkeypatch.setattr(solver, "_backtrack", counting)
+    space = ColoringSpace(petersen(), 0, 4)
+    assert walked == []
+    en = space.prefix(3)
+    assert en.truncated and en.orbits == [0, 1, 2] and len(walked) == 3
     space.prefix(2)
-    assert len(drawn) == 3  # a shorter prefix reuses what is stored
-    assert len(space.prefix(6)) == 6 and len(drawn) == 6
+    assert len(walked) == 3  # a shorter prefix reuses what is stored
+    en = space.prefix(60)
+    assert len(set(en.orbits)) == 32 and len(walked) == 33
+    assert space.size(60) > 60 and len(walked) == 33
 
 
 def test_enumerate_deterministic_order():

@@ -136,15 +136,15 @@ def test_grow_pfan_requires_a_typical_base():
 
 
 def _count_walks(monkeypatch) -> Counter:
-    """Counts the `_backtrack` walks of a space G - e by (e, first_use)."""
+    """Counts the `_backtrack` walks of a space G - e by e."""
     walks = Counter()
     real = solver._backtrack
 
-    def counting(g, order, k, first_use, *args):
+    def counting(g, order, *args):
         rest = set(range(g.m())) - set(order)
         if len(rest) == 1:
-            walks[(rest.pop(), first_use)] += 1
-        return real(g, order, k, first_use, *args)
+            walks[rest.pop()] += 1
+        return real(g, order, *args)
 
     monkeypatch.setattr(solver, "_backtrack", counting)
     return walks
@@ -158,36 +158,16 @@ def test_lemma_suite_enumerates_each_critical_edge_once(monkeypatch, fan_budget)
     # PM's spaces hold 18 or 42 colorings: fan_budget 2000 takes the
     # exhaustive branches and 5 the reachability ones. Funjw's hold
     # 2,400-4,560, more than ENUM_CAP and fan_budget + 1: its sample is a
-    # true prefix, which the reachability start shares
+    # true prefix, which the reachability start shares. The sample, the
+    # maximum fans and the reachability starts all come from one walk
     walks = _count_walks(monkeypatch)
     for g in (PM, FUNJW):
-        crit = set(solver.graph_facts(g).critical_edges())
+        crit = solver.graph_facts(g).critical_edges()
         walks.clear()
         cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=fan_budget)
         out = run_lemma_suite(g, cfg, LEMMA_CHECKS)
         assert any(v.status != "INAPPLICABLE" for v in out["pfan"])
-        # one normal walk per critical edge, and at most one full walk
-        assert {e for e, first_use in walks if first_use} == crit
-        assert {e for e, _ in walks} <= crit
-        assert set(walks.values()) == {1}
-        if g is FUNJW:
-            assert {e for e, first_use in walks if not first_use} == crit
-
-
-def test_lemma_suite_runs_no_full_walk_on_small_spaces(monkeypatch):
-    # every space of PM holds at most ENUM_CAP colorings: the sample, the
-    # exhaustive maximum fans and the reachability starts all come from
-    # the normal walk
-    crit = solver.graph_facts(PM).critical_edges()
-    assert all(
-        solver.count_colorings(PM, e, 3) <= theorems.ENUM_CAP for e in crit
-    )
-    walks = _count_walks(monkeypatch)
-    for fan_budget in (2000, 5):
-        walks.clear()
-        cfg = ScanConfig(checks=LEMMA_CHECKS, fan_budget=fan_budget)
-        run_lemma_suite(PM, cfg, LEMMA_CHECKS)
-        assert walks and all(first_use for _, first_use in walks)
+        assert walks == {e: 1 for e in crit}
 
 
 def test_lemma_suite_searches_one_maximum_fan_per_orientation(monkeypatch):
@@ -873,24 +853,24 @@ def test_renaming_colors_keeps_every_per_coloring_verdict(data):
 
 
 def test_prefix_orbits_are_the_renaming_classes():
-    # each coloring of a space built from its orbits carries the index of
-    # its first-use normal form among the normal colorings; a true prefix
-    # carries none
+    # each coloring of a prefix, truncated or whole, carries the index of
+    # its first-use normal form among the normal colorings
     for g, e in ((PM, 0), (FUNJW, 0)):
-        space = solver.ColoringSpace(g, e, degree_profile(g).delta)
-        normal = [phi.to_line() for phi in space.normal()]
-        sample = space.prefix(theorems.ENUM_CAP)
-        if sample.truncated:
-            assert sample.orbits is None
-            continue
-        assert len(sample.orbits) == len(sample.colorings)
-        for phi, orbit in zip(sample.colorings, sample.orbits):
-            names: dict = {}
-            for c in phi.assignment:
-                if c is not None:
-                    names.setdefault(c, len(names) + 1)
-            assert _rename(phi, [names.get(c, 0) for c in range(1, phi.k + 1)]).to_line() \
-                == normal[orbit]
+        delta = degree_profile(g).delta
+        normal = [phi.to_line() for phi in solver.ColoringSpace(g, e, delta).normal()]
+        space = solver.ColoringSpace(g, e, delta)
+        for limit in (theorems.MAX_COLORINGS, theorems.ENUM_CAP):
+            sample = space.prefix(limit)
+            # PM's spaces hold 18 or 42 colorings, Funjw's thousands
+            assert sample.truncated == (g is FUNJW or limit == theorems.MAX_COLORINGS)
+            assert len(sample.orbits) == len(sample.colorings)
+            for phi, orbit in zip(sample.colorings, sample.orbits):
+                names: dict = {}
+                for c in phi.assignment:
+                    if c is not None:
+                        names.setdefault(c, len(names) + 1)
+                assert _rename(phi, [names.get(c, 0) for c in range(1, phi.k + 1)]).to_line() \
+                    == normal[orbit]
         assert sample.orbits[:3] == space.prefix(3).orbits
 
 
