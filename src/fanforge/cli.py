@@ -65,15 +65,12 @@ def _read_inputs(args) -> list[str]:
 
 def _read_graphs(args) -> list[str]:
     """The graph lines of the input, stripped."""
-    return [s for _, s in graph6_lines(_read_inputs(args))]
+    return [s for _, s in graph6_lines(args.lines)]
 
 
 def _emit(args, text: str):
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write machine output to --output, opened by `main`, or stdout."""
+    args.out.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,7 +148,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lines = _read_inputs(args)
+    lines = args.lines
     graphs = list(graph6_lines(lines))
     if not graphs:
         print("no input graphs", file=sys.stderr)
@@ -303,7 +300,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    lines = _read_inputs(args)
+    lines = args.lines
     try:
         checks = normalize_checks(args.checks)
     except ValueError as exc:
@@ -405,10 +402,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     if bad is not None:
         print(bad, file=sys.stderr)
         return OP_ERROR
+    # the input is read before --output is opened, which may be the same
+    # file, and --output is opened before any check runs
+    try:
+        args.lines = _read_inputs(args)
+    except OSError as exc:
+        source = f"--input {exc.filename}" if exc.filename else "stdin"
+        print(f"cannot read {source}: {exc.strerror or exc}", file=sys.stderr)
+        return OP_ERROR
+    try:
+        args.out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"cannot write --output {args.output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return OP_ERROR
     try:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    finally:
+        if args.output:
+            args.out.close()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -50,6 +50,9 @@ class Multifan:
     edge_colors: dict[int, int]  # spoke vertex -> color of r-spoke edge (s1 absent)
     missing: dict[int, int]  # snapshot of the missing masks on V(F)
     typical: Optional[TypicalForm] = None
+    # grown with one eligible spoke at every step, so every color renaming
+    # of the coloring grows this sequence too; False when not known
+    forced: bool = field(default=False, compare=False)
 
     def vertex_set(self) -> tuple[int, ...]:
         return (self.center,) + self.sequence
@@ -91,6 +94,9 @@ class KiersteadPath:
 
     vertices: tuple[int, ...]
     uncolored_edge: int
+    # grown with one eligible edge at every step, so every color renaming
+    # of the coloring grows this path too; False when not known
+    forced: bool = field(default=False, compare=False)
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "uncolored_edge": self.uncolored_edge}
@@ -121,6 +127,11 @@ def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> 
     lowest edge color, then lowest vertex id. The maximal spoke set is
     unique (eligibility never disappears as the fan grows), so the greedy
     order only affects sequence labels.
+
+    The fan is `forced` when every step had one eligible spoke. Renaming
+    the colors renames the spoke colors and missing sets alike, so it
+    keeps each step's eligible spokes, and a forced growth grows the same
+    sequence on every renaming of phi.
     """
     e = g.edge_id(r, s1)
     if phi.uncolored != e:
@@ -132,6 +143,7 @@ def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> 
     seq = [s1]
     member = {s1}
     missing_union = missing[s1]
+    forced = True
     while True:
         best = None
         for w, ew in at_r.items():
@@ -142,8 +154,12 @@ def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> 
                 continue
             if missing_union >> (c - 1) & 1:
                 key = (c, w)
-                if best is None or key < best:
+                if best is None:
                     best = key
+                else:
+                    forced = False
+                    if key < best:
+                        best = key
         if best is None:
             break
         _, w = best
@@ -156,6 +172,7 @@ def grow_multifan(g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int) -> 
         sequence=tuple(seq),
         edge_colors={s: colors[at_r[s]] for s in seq[1:]},
         missing={v: missing[v] for v in [r] + seq},
+        forced=forced,
     )
 
 
@@ -583,7 +600,9 @@ def grow_kierstead_path(
 ) -> KiersteadPath:
     """Greedy growth from the uncolored edge v0v1: extend with the
     lowest-colored edge at the tip whose color is missing at a vertex at
-    least two steps back."""
+    least two steps back. The path is `forced` when every step had one
+    eligible edge; a forced growth grows the same path on every color
+    renaming of phi, as in `grow_multifan`."""
     e = g.edge_id(v0, v1)
     if phi.uncolored != e:
         raise FanError(f"edge {v0}-{v1} is not the uncolored edge")
@@ -591,6 +610,7 @@ def grow_kierstead_path(
     colors, missing = phi.assignment, phi.missing
     verts = [v0, v1]
     missing_union = missing[v0]  # over every vertex but the tip
+    forced = True
     while max_len is None or len(verts) < max_len:
         tip = verts[-1]
         best = None
@@ -601,13 +621,17 @@ def grow_kierstead_path(
             if c is None:
                 continue
             if (missing_union >> (c - 1)) & 1:
-                if best is None or (c, w) < best:
+                if best is None:
                     best = (c, w)
+                else:
+                    forced = False
+                    if (c, w) < best:
+                        best = (c, w)
         if best is None:
             break
         missing_union |= missing[tip]
         verts.append(best[1])
-    return KiersteadPath(tuple(verts), e)
+    return KiersteadPath(tuple(verts), e, forced)
 
 
 def check_kierstead_path(

@@ -526,16 +526,19 @@ class ColoringSpace:
     as soon as the sum passes the limit a caller asks about. So `size`
     answers "at most N" without building a coloring.
 
-    `prefix` merges the orbits. Two renamings of a normal coloring first
-    differ where it first uses the lowest color they rename apart, so an
-    orbit's members come in enumeration order exactly as
+    `raw_prefix` merges the orbits. Two renamings of a normal coloring
+    first differ where it first uses the lowest color they rename apart,
+    so an orbit's members come in enumeration order exactly as
     `permutations(range(1, k + 1), c)` lists their names. The walk yields
     normal colorings in enumeration order, so an orbit joins the merge
     only once its normal coloring is below every coloring waiting in it,
     and the merge walks at most one normal coloring past the orbits a
-    prefix takes from. The merge state lives in attributes, and a prefix
-    is built once, as far as the largest limit asked for, with each
-    coloring's orbit.
+    prefix takes from. The merge state lives in attributes, and the merged
+    prefix is kept, as far as the largest limit asked for, as color
+    tuples with each one's orbit. A caller that reads only the orbits
+    builds no coloring: `coloring(i)` builds one member when it is read,
+    and `prefix` builds them all. An orbit's first member is its normal
+    coloring, the same object `normal()` gives.
 
     The colorings are shared between callers and are read-only.
     """
@@ -549,17 +552,20 @@ class ColoringSpace:
         live = [i for i in range(len(g.edges)) if i != e]
         # the normal walk, None once it is exhausted
         self._walk: Optional[Generator] = _backtrack(g, live, k, _UNBOUNDED, self._colors)
-        # (colors, number of colors used) of each normal coloring walked
+        # (colors, number of colors used) of each normal coloring walked,
+        # and each one's coloring once it is built
         self._leaves: list[tuple[tuple, int]] = []
+        self._normal: list[Optional[PartialEdgeColoring]] = []
         self._size = 0  # the orbit sum over _leaves
-        self._normal: Optional[list[PartialEdgeColoring]] = None
         # the merge: (colors, orbit, its remaining names) per orbit that
         # joined it and still has members to give, and the orbits joined
         self._heap: list[tuple[tuple, int, Iterator[tuple[int, ...]]]] = []
         self._joined = 0
-        # the prefix built so far and the orbit of each of its colorings
-        self._built: list[PartialEdgeColoring] = []
+        # the prefix merged so far: each member's colors and orbit, and
+        # its coloring once it is built
+        self._members: list[tuple] = []
         self._orbits: list[int] = []
+        self._built: list[Optional[PartialEdgeColoring]] = []
 
     def _step(self) -> bool:
         """Walk the next normal coloring; False once there is none."""
@@ -572,6 +578,7 @@ class ColoringSpace:
             return False
         c = mask.bit_count()
         self._leaves.append((tuple(self._colors), c))
+        self._normal.append(None)
         self._size += perm(self.k, c)
         return True
 
@@ -583,28 +590,33 @@ class ColoringSpace:
             pass
         return self._size
 
+    def _normal_coloring(self, j: int) -> PartialEdgeColoring:
+        """The normal coloring of orbit j, which the walk has reached."""
+        phi = self._normal[j]
+        if phi is None:
+            phi = self._normal[j] = PartialEdgeColoring.from_assignment(
+                self.graph, self.k, self._leaves[j][0], uncolored=self.edge)
+        return phi
+
     def normal(self) -> list[PartialEdgeColoring]:
         """The first-use normal colorings, one per orbit, in enumeration
         order."""
-        if self._normal is None:
-            self.size()
-            g, k, e = self.graph, self.k, self.edge
-            self._normal = [
-                PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
-                for colors, _ in self._leaves
-            ]
-        return self._normal
+        self.size()
+        return [self._normal_coloring(j) for j in range(len(self._leaves))]
 
-    def prefix(self, limit: Optional[int] = None) -> ColoringEnumeration:
-        """The first `limit` colorings (all of them when None), with
-        `truncated` set when the space holds more."""
+    def raw_prefix(
+        self, limit: Optional[int] = None
+    ) -> tuple[list[tuple], list[int], bool]:
+        """The first `limit` colorings (all of them when None), unbuilt:
+        each one's colors by edge id (None on e), each one's orbit, and
+        whether the space holds more. Coloring i is `coloring(i)`."""
         if limit is not None:
             limit = max(limit, 0)
         size = self.size(limit)
         want = size if limit is None else min(size, limit)
-        g, k, e = self.graph, self.k, self.edge
-        heap, leaves, built = self._heap, self._leaves, self._built
-        while len(built) < want:
+        k = self.k
+        heap, leaves, members = self._heap, self._leaves, self._members
+        while len(members) < want:
             j = self._joined
             if j < len(leaves) or self._step():
                 colors, c = leaves[j]
@@ -622,9 +634,31 @@ class ColoringSpace:
                     tuple(None if x is None else renamed[x - 1] for x in leaves[orbit][0]),
                     orbit, names,
                 ))
-            built.append(PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e))
+            members.append(colors)
             self._orbits.append(orbit)
-        return ColoringEnumeration(built[:want], size > want, self._orbits[:want])
+            self._built.append(None)
+        return members[:want], self._orbits[:want], size > want
+
+    def coloring(self, i: int) -> PartialEdgeColoring:
+        """Coloring i of the merged prefix, built on first use."""
+        phi = self._built[i]
+        if phi is None:
+            colors, orbit = self._members[i], self._orbits[i]
+            # an orbit's first member is the very tuple its leaf holds
+            if colors is self._leaves[orbit][0]:
+                phi = self._normal_coloring(orbit)
+            else:
+                phi = PartialEdgeColoring.from_assignment(
+                    self.graph, self.k, colors, uncolored=self.edge)
+            self._built[i] = phi
+        return phi
+
+    def prefix(self, limit: Optional[int] = None) -> ColoringEnumeration:
+        """The first `limit` colorings (all of them when None), with
+        `truncated` set when the space holds more."""
+        members, orbits, truncated = self.raw_prefix(limit)
+        return ColoringEnumeration(
+            [self.coloring(i) for i in range(len(members))], truncated, orbits)
 
 
 def enumerate_colorings(

@@ -17,8 +17,10 @@ from . import verdicts as V
 from .colorings import PartialEdgeColoring, are_linked, kempe_bfs, swap_moves
 from .fans import (
     FanError,
+    KiersteadPath,
     MaxFanResult,
     Multifan,
+    NormalizedFan,
     _hypothesis_gate,
     fan_missing_union,
     grow_kierstead_path,
@@ -38,6 +40,7 @@ from .graphs import (
     degree_profile,
     from_graph6,
     graph6_lines,
+    is_core_acyclic,
     light_vertices,
     to_graph6,
 )
@@ -592,7 +595,8 @@ class ScanConfig:
 
 def normalize_checks(spec: str | Sequence[str]) -> tuple[str, ...]:
     """Expand a --checks argument: names, or the groups all / graph /
-    lemmas / theorems / conjectures."""
+    lemmas / theorems / conjectures. ValueError on an unknown name or a
+    selection of no check."""
     if isinstance(spec, str):
         parts = [p.strip() for p in spec.split(",") if p.strip()]
     else:
@@ -613,13 +617,9 @@ def normalize_checks(spec: str | Sequence[str]) -> tuple[str, ...]:
             out.append(p)
         else:
             raise ValueError(f"unknown check {p!r}")
-    seen = set()
-    uniq = []
-    for c in out:
-        if c not in seen:
-            seen.add(c)
-            uniq.append(c)
-    return tuple(uniq)
+    if not out:
+        raise ValueError(f"no check selected by {spec!r}")
+    return tuple(dict.fromkeys(out))
 
 
 def _max_fan_for(g, r, s1, cfg, space: ColoringSpace) -> MaxFanResult:
@@ -642,18 +642,80 @@ def _note(out: dict, names: Iterable[str], status: str, reason: str) -> None:
         out[c].append(V.Verdict(c, status, {"reason": reason}))
 
 
-def _verdict(memo: dict, key, verify, g, phi, obj, *, exact: bool) -> V.Verdict:
-    """The verdict memoized under `key`, else `verify`'s on (g, phi, obj).
-    Under an `exact` key, which holds the verifier's whole input, any
-    verdict is kept; under a renaming-class key only a PASS or an
-    INAPPLICABLE is, whose details name no color. A FAIL names its colors
-    and its coloring line, so each coloring computes its own."""
+def _verdict(memo: dict, key, verify, g, inputs, *, exact: bool) -> V.Verdict:
+    """The verdict memoized under `key`, else `verify`'s on g and the
+    (phi, obj) that `inputs()` gives, so that nothing is built for a
+    coloring the memo answers. Under an `exact` key, which holds the
+    verifier's whole input, any verdict is kept; under a renaming-class
+    key only a PASS or an INAPPLICABLE is, whose details name no color. A
+    FAIL names its colors and its coloring line, so each coloring
+    computes its own."""
     v = memo.get(key)
     if v is None:
+        phi, obj = inputs()
         v = verify(g, phi, obj, critical=True, class_two=True)
         if exact or v.status != V.FAIL:
             memo[key] = v
     return v
+
+
+class _Member:
+    """Coloring i of a space's sample at the orientation (r, s1). Its
+    coloring, fan, Kierstead path and normalized fan are built on first
+    use. `first` is the first sampled member of the same orbit, which is
+    the orbit's normal coloring: a growth on it that was forced grows the
+    same sequence on every renaming, so the orbit's other members take
+    its sequence or path without a coloring of their own."""
+
+    __slots__ = ("g", "space", "i", "r", "s1", "first", "_phi", "_fan", "_kp",
+                 "_norm")
+
+    def __init__(self, g, space: ColoringSpace, i: int, r: int, s1: int,
+                 first: Optional[_Member]):
+        self.g, self.space, self.i, self.r, self.s1 = g, space, i, r, s1
+        self.first = self if first is None else first
+        self._phi = self._fan = self._kp = self._norm = None
+
+    def phi(self) -> PartialEdgeColoring:
+        if self._phi is None:
+            self._phi = self.space.coloring(self.i)
+        return self._phi
+
+    def fan(self) -> Multifan:
+        if self._fan is None:
+            self._fan = grow_multifan(self.g, self.phi(), self.r, self.s1)
+        return self._fan
+
+    def kp(self) -> KiersteadPath:
+        if self._kp is None:
+            self._kp = grow_kierstead_path(self.g, self.phi(), self.r, self.s1,
+                                           max_len=4)
+        return self._kp
+
+    def normalized(self) -> NormalizedFan:
+        """`normalize_typical` on this coloring and its fan; FanError when
+        it cannot be normalized."""
+        if self._norm is None:
+            self._norm = normalize_typical(self.g, self.phi(), self.fan())
+        return self._norm
+
+    def fan_sequence(self) -> tuple[int, ...]:
+        fan = self.first.fan()
+        return fan.sequence if fan.forced else self.fan().sequence
+
+    def kp_vertices(self) -> tuple[int, ...]:
+        kp = self.first.kp()
+        return kp.vertices if kp.forced else self.kp().vertices
+
+    def with_fan(self):
+        return self.phi(), self.fan()
+
+    def with_kp(self):
+        return self.phi(), self.kp()
+
+    def with_normalized(self):
+        norm = self.normalized()
+        return norm.phi, norm.fan
 
 
 def run_lemma_suite(
@@ -670,7 +732,16 @@ def run_lemma_suite(
     the order of which part (c) of the linkage reads; `kierstead` per
     (renaming class, path); the swap checks per (normalized assignment,
     normalized sequence), their whole input. A renaming class is an orbit
-    of the space, truncated or whole."""
+    of the space, truncated or whole.
+
+    The sample comes from the space unbuilt, as orbit indices. Per
+    orientation the fan and the Kierstead path are grown once per orbit,
+    on its first sampled member, its normal coloring; a growth that had
+    one eligible vertex at every step (`forced`) gives every member of
+    the orbit the same sequence or path. A member is built, and grows its
+    own fan or path, only where its orbit's growth had a choice, where the
+    memo holds no verdict for its key (a FAIL, recomputed per coloring),
+    or where the swap checks normalize it."""
     want = set(checks)
     out: dict[str, list[V.Verdict]] = {c: [] for c in want}
     gate = _hypothesis_gate("lemmas", g, budget=cfg.budget, assume="criticality")
@@ -686,6 +757,8 @@ def run_lemma_suite(
     max_checks = want & {"rs1-linkage", "tau-unique", "tau-witnesses", "pfan",
                          "pfan-adjacency", "fan-missing-r"}
     swap_checks = want & {"stable-swaps", "vf-stable-swaps"}
+    fan_checks = want & {"fan-elementary", "fan-linkage"} | swap_checks
+    per_coloring = fan_checks | want & {"kierstead"}
     pfan_checks = want & {"pfan", "pfan-adjacency"}
     for e in crit:
         # one enumeration of G - e serves both orientations: the sample,
@@ -694,8 +767,7 @@ def run_lemma_suite(
         # every coloring when the space is small, else the first
         # MAX_COLORINGS in enumeration order
         small = space.size(ENUM_CAP) <= ENUM_CAP
-        sample = space.prefix(None if small else MAX_COLORINGS)
-        phis, orbits = sample.colorings, sample.orbits
+        _, orbits, _ = space.raw_prefix(None if small else MAX_COLORINGS)
         u, v = g.endpoints(e)
         for r, s1 in ((u, v), (v, u)):
             # the tau/shifting/pseudo-fan machinery lives at a light center
@@ -711,27 +783,29 @@ def run_lemma_suite(
                     _note(out, max_checks, V.INAPPLICABLE,
                           "center is not light with a (Delta-1)-degree spoke")
             memo: dict = {}
-            for phi, orbit in zip(phis, orbits):
-                fan = grow_multifan(g, phi, r, s1)
+            firsts: dict[int, _Member] = {}
+            for i, orbit in enumerate(orbits if per_coloring else ()):
+                m = _Member(g, space, i, r, s1, firsts.get(orbit))
+                firsts.setdefault(orbit, m)
+                seq = m.fan_sequence() if fan_checks else None
                 for name, verify in (("fan-elementary", verify_fan_elementary),
                                      ("fan-linkage", verify_fan_linkage)):
                     if name in want:
                         out[name].append(_verdict(
-                            memo, (name, orbit, fan.sequence), verify, g, phi, fan,
+                            memo, (name, orbit, seq), verify, g, m.with_fan,
                             exact=False,
                         ))
                 if "kierstead" in want:
-                    kp = grow_kierstead_path(g, phi, r, s1, max_len=4)
                     out["kierstead"].append(_verdict(
-                        memo, ("kierstead", orbit, kp.vertices), verify_kp_elementary,
-                        g, phi, kp, exact=False,
+                        memo, ("kierstead", orbit, m.kp_vertices()), verify_kp_elementary,
+                        g, m.with_kp, exact=False,
                     ))
                 if swap_checks:
                     # the typical form's degree conditions read no color:
                     # one answer per fan sequence
-                    shape = ("typical-shape", fan.sequence)
+                    shape = ("typical-shape", seq)
                     if shape not in memo:
-                        bad = typical_shape_error(g, r, fan.sequence)
+                        bad = typical_shape_error(g, r, seq)
                         memo[shape] = None if bad is None else [
                             V.inapplicable(c, f"not normalizable: {bad}")
                             for c in swap_checks
@@ -741,7 +815,7 @@ def run_lemma_suite(
                             out[verdict.check].append(verdict)
                         continue
                     try:
-                        norm = normalize_typical(g, phi, fan)
+                        norm = m.normalized()
                     except FanError as exc:
                         _note(out, swap_checks, V.INAPPLICABLE,
                               f"not normalizable: {exc}")
@@ -751,7 +825,7 @@ def run_lemma_suite(
                                          ("vf-stable-swaps", verify_vf_stable_swaps)):
                         if name in want:
                             out[name].append(_verdict(
-                                memo, (name,) + key, verify, g, norm.phi, norm.fan,
+                                memo, (name,) + key, verify, g, m.with_normalized,
                                 exact=True,
                             ))
             if maxres is None:
@@ -946,8 +1020,6 @@ def run_graph_checks(
         "core_max_degree": prof.core_max_degree,
     }
     try:
-        from .graphs import is_core_acyclic
-
         meta["core_acyclic"] = is_core_acyclic(g)
         if len(g.edges) > 0 and g.n >= 2:
             cv = graph_facts(g, cfg.budget).verdict
@@ -979,8 +1051,16 @@ def run_graph_checks(
                     results[name] = [graph_level[name]().to_json()]
         if lemma_wanted and len(g.edges) > 0:
             suite = run_lemma_suite(g, cfg, lemma_wanted)
+            # the suite appends one verdict object per orbit to many
+            # colorings: each is encoded once and its dict shared
+            encoded: dict[int, dict] = {}
             for name, verdicts in suite.items():
-                results[name] = [vd.to_json() for vd in verdicts]
+                row = results[name] = []
+                for vd in verdicts:
+                    d = encoded.get(id(vd))
+                    if d is None:
+                        d = encoded[id(vd)] = vd.to_json()
+                    row.append(d)
         rep.checks = results
     except Exception as exc:  # surfaced per graph, scan continues
         rep.error = f"{type(exc).__name__}: {exc}"

@@ -5,7 +5,8 @@ INAPPLICABLE. FAIL verdicts must carry enough detail to replay the
 violation. CONDITIONAL marks conclusions that hold for everything
 explored under a budget-limited quantifier. A verdict is frozen, since
 the lemma suite appends one verdict for every coloring of a renaming
-class.
+class. A report encodes each distinct verdict once, so its verdict
+dicts are shared within the report and are read-only too.
 """
 
 from __future__ import annotations

@@ -295,6 +295,24 @@ def test_usage_error_exits_3_with_one_line(args, flag):
     _assert_range_error(run_cli(*args), flag)
 
 
+def test_scan_to_a_missing_directory_exits_3_before_any_check(tmp_path):
+    # one line and no summary table: --output is opened before the scan
+    r = run_cli("scan", "--checks", "all", "--output",
+                str(tmp_path / "no" / "such" / "x.jsonl"), PM)
+    _assert_range_error(r, "--output")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_verify_unreadable_input_exits_3_with_one_line(tmp_path, kind):
+    source = tmp_path / "no-such-file" if kind == "missing" else tmp_path
+    _assert_range_error(run_cli("verify", "--input", str(source)), "--input")
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_empty_check_selection_exits_3_with_one_line(command):
+    _assert_range_error(run_cli(command, "--checks", ",", C5), "no check selected")
+
+
 def test_exhausted_budget_exits_2_without_report_errors():
     data = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
     r = run_cli("verify", "--checks", "val,s1-adj", "--budget", "20", "--input", str(data))

@@ -485,6 +485,32 @@ def test_prefix_from_orbits_equals_iter_colorings(graph_edge, data):
                 assert en.orbits == [
                     normal.index(first_use_relabeling(phi.assignment)) for phi in en
                 ]
+                colors, orbits, truncated = space.raw_prefix(limit)
+                assert [list(c) for c in colors] == [list(phi.assignment) for phi in en]
+                assert (orbits, truncated) == (en.orbits, en.truncated)
+            # an orbit's first member is the normal coloring itself
+            built = space.normal()
+            for i, orbit in enumerate(en.orbits):
+                if orbit not in en.orbits[:i]:
+                    assert en.colorings[i] is built[orbit]
+
+
+def test_raw_prefix_builds_no_coloring(monkeypatch):
+    # a caller that reads only the orbits builds nothing; coloring(i)
+    # builds member i alone, once
+    built = []
+    real = PartialEdgeColoring.from_assignment.__func__
+
+    def counting(cls, g, k, colors, **kwargs):
+        built.append(tuple(colors))
+        return real(cls, g, k, colors, **kwargs)
+
+    monkeypatch.setattr(PartialEdgeColoring, "from_assignment", classmethod(counting))
+    space = ColoringSpace(petersen(), 0, 4)
+    colors, orbits, truncated = space.raw_prefix(60)
+    assert len(colors) == len(orbits) == 60 and truncated and not built
+    assert space.coloring(59) is space.coloring(59)
+    assert built == [colors[59]]
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,9 @@ def test_normalize_checks():
     assert normalize_checks("s1-adj,val") == ("s1-adj", "val")
     with pytest.raises(ValueError):
         normalize_checks("nonsense")
+    for empty in (",", "", " , ", ()):
+        with pytest.raises(ValueError, match="no check selected"):
+            normalize_checks(empty)
 
 
 def test_fail_reports_replay():
@@ -852,6 +855,33 @@ def test_renaming_colors_keeps_every_per_coloring_verdict(data):
         assert got2["kierstead"].to_json() == got["kierstead"].to_json()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forced_growth_grows_the_same_sequence_on_every_renaming(data):
+    # the fact the lemma suite's per-orbit growth rests on: renaming the
+    # colors keeps each step's eligible vertices, so forcedness is a
+    # property of the orbit and a forced fan or Kierstead path is the same
+    # vertex sequence on every member
+    line = data.draw(st.sampled_from([s for s in CLASS2_LINES if _critical_edges(s)]))
+    e = data.draw(st.sampled_from(_critical_edges(line)))
+    g, normal = _normal_colorings(line, e)
+    k = normal[0].k
+    phi = data.draw(st.sampled_from(normal))
+    r, s1 = g.endpoints(e)[::data.draw(st.sampled_from([1, -1]))]
+    max_len = data.draw(st.sampled_from([4, None]))
+    fan = fans.grow_multifan(g, phi, r, s1)
+    kp = fans.grow_kierstead_path(g, phi, r, s1, max_len=max_len)
+    for _ in range(3):
+        renamed = _rename(phi, data.draw(st.permutations(range(1, k + 1))))
+        fan2 = fans.grow_multifan(g, renamed, r, s1)
+        kp2 = fans.grow_kierstead_path(g, renamed, r, s1, max_len=max_len)
+        assert (fan2.forced, kp2.forced) == (fan.forced, kp.forced)
+        if fan.forced:
+            assert fan2.sequence == fan.sequence
+        if kp.forced:
+            assert kp2.vertices == kp.vertices
+
+
 def test_prefix_orbits_are_the_renaming_classes():
     # each coloring of a prefix, truncated or whole, carries the index of
     # its first-use normal form among the normal colorings
@@ -921,7 +951,8 @@ def test_lemma_suite_verifier_calls_on_fbnn_are_pinned(monkeypatch):
     g = from_graph6("FBnn_")
     calls = Counter()
     for name in ("verify_fan_elementary", "verify_fan_linkage", "verify_kp_elementary",
-                 "verify_stable_swaps", "verify_vf_stable_swaps", "normalize_typical"):
+                 "verify_stable_swaps", "verify_vf_stable_swaps", "normalize_typical",
+                 "grow_multifan", "grow_kierstead_path"):
         real = getattr(theorems, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
@@ -946,15 +977,22 @@ def test_lemma_suite_verifier_calls_on_fbnn_are_pinned(monkeypatch):
         "normalize_typical": 384,
         "verify_stable_swaps": 16,
         "verify_vf_stable_swaps": 16,
+        # every fan grows forced here: one growth per (orbit, orientation),
+        # and one on each of the other 368 colorings normalized
+        "grow_multifan": 516,
+        # 48 of the 148 Kierstead growths had a choice: the 1,104 other
+        # colorings of those orbits grow their own
+        "grow_kierstead_path": 1252,
     }
 
 
 def test_lemma_suite_keys_fan_verdicts_by_the_fan_sequence(monkeypatch):
     # no orbit of a small space of the corpus grows two fan sequences, so
-    # every second coloring here grows its fan with the spokes after s1
-    # reversed. Part (c) of the linkage reads the spoke order: a verdict of
-    # one order is never given to the other, so each (orientation, orbit,
-    # sequence) grown is verified
+    # every growth here reports a choice, which makes each coloring grow
+    # its own fan, and every second growth reverses the spokes after s1.
+    # Part (c) of the linkage reads the spoke order: a verdict of one order
+    # is never given to the other, so each (orientation, orbit, sequence)
+    # grown is verified
     g = from_graph6("FBnn_")
     orbit_of = {}
     for e in _critical_edges("FBnn_"):
@@ -969,7 +1007,7 @@ def test_lemma_suite_keys_fan_verdicts_by_the_fan_sequence(monkeypatch):
         return (fan.center, fan.uncolored_edge, orbit_of[phi.to_line()], fan.sequence)
 
     def grow(g, phi, r, s1):
-        fan = real(g, phi, r, s1)
+        fan = dataclasses.replace(real(g, phi, r, s1), forced=False)
         if next(flip) % 2:
             fan = dataclasses.replace(fan, sequence=fan.sequence[:1] + fan.sequence[:0:-1])
         grown.add(key(phi, fan))
