@@ -9,8 +9,8 @@ any search.
 
 Edge criticality in a class-2 graph is a Delta-decision: e is critical
 exactly when G - e is Delta-colorable. Vizing's theorem or the overfull
-bound settles most edges; the rest go to an exact search in a dynamic
-(DSATUR) edge order. A Delta-coloring that search finds for G - xy also
+bound settles most edges; the rest go to the same backtracking search in
+a dynamic (DSATUR) edge order. A Delta-coloring it finds for G - xy also
 certifies further edges by shifts (Stiebitz, Scheide, Toft and
 Favrholdt, Graph Edge Coloring, 2012, ch. 3): coloring xy with a color
 missing at y and uncoloring the edge xz of that color gives a
@@ -86,20 +86,30 @@ def _edge_order(g: SimpleGraph) -> list[int]:
 
 
 def _backtrack(
-    g: SimpleGraph, order: list[int], k: int, budget: int, colors: list
+    g: SimpleGraph,
+    order: list[int],
+    k: int,
+    budget: int,
+    colors: list,
+    dynamic: bool = False,
 ) -> Generator[tuple[int, int], None, int]:
-    """The first-use normal proper k-colorings of the edges in `order`,
-    lexicographic in (position, color): the one backtracking loop of the
-    fixed edge orders.
+    """The first-use normal proper k-colorings of the edges in `order`:
+    the one backtracking loop of every search.
 
-    A color may be new only if it is the least unused one, so each leaf
-    is the least member of its orbit under renamings of the colors. Each
-    leaf writes its colors (1-based, by edge id) into `colors` and yields
-    (the mask of the colors it uses, nodes so far), a node being one
-    color placed; the return value is the node count of the whole search.
-    Raises BudgetExceeded once the nodes exceed `budget`. Backtracks over
-    an explicit stack, so the number of edges is not limited by the
-    recursion limit.
+    Each depth colors one edge. In the fixed order depth d colors
+    order[d], so the leaves come lexicographic in (position, color).
+    Under `dynamic` each depth colors the uncolored edge with the fewest
+    colors free at both ends (DSATUR on the line graph, Brelaz 1979),
+    ties going to the first in `order`. A color may be new only if it is
+    the least unused one; the colors not placed yet are interchangeable
+    at every node in either order, so each leaf stands for one orbit
+    under renamings of the colors, and in the fixed order it is the
+    orbit's least member. Each leaf writes its colors (1-based, by edge
+    id) into `colors` and yields (the mask of the colors it uses, nodes
+    so far), a node being one color placed; the return value is the node
+    count of the whole search. Raises BudgetExceeded once the nodes
+    exceed `budget`. Backtracks over an explicit stack, so the number of
+    edges is not limited by the recursion limit.
     """
     m = len(order)
     if m == 0:
@@ -107,140 +117,105 @@ def _backtrack(
         return 0
     ends = [g.edges[e] for e in order]
     missing = [(1 << k) - 1] * g.n
-    # avail[pos]: colors still to try at order[pos]; chosen[pos]: its
-    # current color bit; used[pos]: the colors placed before pos
+    # per depth: the edge it colors and that edge's ends, which are
+    # order[d] and ends[d] in the fixed order; avail: the colors still to
+    # try; chosen: the current color bit; used: the colors placed above it
+    edge, edge_ends = (list(order), list(ends)) if dynamic else (order, ends)
     avail = [0] * m
     chosen = [0] * m
     used = [0] * m
+    if dynamic:
+        # the positions in `order` not colored yet, in order, so a scan
+        # keeps the first of equally free edges; per depth, the position
+        # of its edge and the slot it held in `uncolored`, to put it back
+        uncolored = list(range(1, m))
+        at = [0] * m
+        slot = [0] * m
     nodes = 0
     avail[0] = 1 if k else 0  # color 1: every color is free at the start
-    pos = 0
+    d = 0
     while True:
-        u, v = ends[pos]
-        bit = chosen[pos]
+        u, v = edge_ends[d]
+        bit = chosen[d]
         if bit:
             missing[u] ^= bit
             missing[v] ^= bit
-        a = avail[pos]
+        a = avail[d]
         if not a:
-            if pos == 0:
+            if d == 0:
                 return nodes
-            chosen[pos] = 0
-            pos -= 1
+            chosen[d] = 0
+            if dynamic:
+                uncolored.insert(slot[d], at[d])
+            d -= 1
             continue
         bit = a & -a
-        avail[pos] = a ^ bit
+        avail[d] = a ^ bit
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded
-        chosen[pos] = bit
+        chosen[d] = bit
         missing[u] ^= bit
         missing[v] ^= bit
-        colors[order[pos]] = bit.bit_length()
-        cap = used[pos] | bit
-        nxt = pos + 1
+        colors[edge[d]] = bit.bit_length()
+        cap = used[d] | bit
+        nxt = d + 1
         if nxt == m:
             yield cap, nodes
             continue
+        if dynamic:
+            best = k + 1
+            for i, p in enumerate(uncolored):
+                u, v = ends[p]
+                free = (missing[u] & missing[v]).bit_count()
+                if free < best:
+                    best, s, q = free, i, p
+                    if not free:
+                        break
+        else:
+            q = nxt
         # descend only where a color is free, so a dead end costs no pass
-        u, v = ends[nxt]
+        u, v = ends[q]
         # the colors placed before nxt are 1..j, so (cap << 1) | 1 admits
         # only j + 1 as a new one
         a = missing[u] & missing[v] & ((cap << 1) | 1)
         if a:
-            pos = nxt
-            avail[pos] = a
-            used[pos] = cap
+            d = nxt
+            avail[d] = a
+            used[d] = cap
+            if dynamic:
+                del uncolored[s]
+                at[d], slot[d] = q, s
+                edge[d], edge_ends[d] = order[q], ends[q]
 
 
-def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
-    """Returns (the first proper k-edge-coloring in `_edge_order` under
-    the first-use rule, or None; the nodes used). The rule is sound for
-    both answers, since color classes are interchangeable."""
+def _first_leaf(
+    g: SimpleGraph, k: int, budget: int, dynamic: bool
+) -> tuple[Optional[list[int]], int]:
+    """(The first leaf of `_backtrack` over `_edge_order`, or None; the
+    nodes used)."""
     colors = [0] * len(g.edges)
-    leaves = _backtrack(g, _edge_order(g), k, budget, colors)
+    leaves = _backtrack(g, _edge_order(g), k, budget, colors, dynamic)
     try:
         return colors, next(leaves)[1]
     except StopIteration as done:
         return None, done.value
 
 
-def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
-    """A proper k-edge-coloring of G, by a dynamic-order search.
+def _search(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
+    """Returns (the first proper k-edge-coloring in `_edge_order` under
+    the first-use rule, or None; the nodes used). The rule is sound for
+    both answers, since color classes are interchangeable."""
+    return _first_leaf(g, k, budget, False)
 
-    Returns (assignment 1-based per edge or None, nodes used), as
-    `_search` does, a node being one color placed; raises BudgetExceeded
-    when the node budget runs out undecided. Each step colors the
-    uncolored edge with the fewest colors free at both ends (DSATUR on
-    the line graph, Brelaz 1979), ties going to the larger d(u) + d(v),
-    then the lower edge id. The first-use symmetry break of `_search`
-    stays sound under a dynamic order: the colors not placed yet are
-    interchangeable at every node.
-    """
-    m = len(g.edges)
-    if m == 0:
-        return [], 0
-    # positions into ends are the tie-break order, so a scan of the
-    # uncolored list in list order keeps the first of equally free edges
-    order = _edge_order(g)
-    ends = [g.edges[e] for e in order]
-    missing = [(1 << k) - 1] * g.n
-    uncolored = list(range(m))
-    # per depth: the slot of its edge in `uncolored` (to put it back on
-    # backtracking), the edge's position, the colors still to try, the
-    # color placed, and the colors placed above it (1..j, first-use rule)
-    slot = [0] * m
-    at = [0] * m
-    avail = [0] * m
-    chosen = [0] * m
-    used = [0] * m
-    nodes = 0
-    depth = 0
-    cap = 0
-    while True:
-        # select the edge of this depth
-        best = k + 1
-        j = 0
-        for i, q in enumerate(uncolored):
-            u, v = ends[q]
-            free = (missing[u] & missing[v]).bit_count()
-            if free < best:
-                best, j = free, i
-                if not free:
-                    break
-        q = uncolored.pop(j)
-        slot[depth], at[depth], used[depth], chosen[depth] = j, q, cap, 0
-        u, v = ends[q]
-        avail[depth] = missing[u] & missing[v] & ((cap << 1) | 1)
-        # try its colors, backtracking to shallower depths when they run out
-        while True:
-            u, v = ends[at[depth]]
-            bit = chosen[depth]
-            if bit:
-                missing[u] ^= bit
-                missing[v] ^= bit
-            a = avail[depth]
-            if a:
-                break
-            uncolored.insert(slot[depth], at[depth])
-            if depth == 0:
-                return None, nodes
-            depth -= 1
-        bit = a & -a
-        avail[depth] = a ^ bit
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded("colorability undecided")
-        chosen[depth] = bit
-        missing[u] ^= bit
-        missing[v] ^= bit
-        if not uncolored:
-            colors = [0] * m
-            for d in range(m):
-                colors[order[at[d]]] = chosen[d].bit_length()
-            return colors, nodes
-        cap = used[depth] | bit
-        depth += 1
+
+def _colorable(g: SimpleGraph, k: int, budget: int) -> tuple[Optional[list[int]], int]:
+    """A proper k-edge-coloring of G, by the same search in the dynamic
+    (DSATUR) order: returns (assignment 1-based per edge or None, nodes
+    used), as `_search` does; raises BudgetExceeded when the node budget
+    runs out undecided. Ties between equally free edges go to the larger
+    d(u) + d(v), then the lower edge id."""
+    return _first_leaf(g, k, budget, True)
 
 
 def shift_certificates(

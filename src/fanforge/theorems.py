@@ -565,10 +565,11 @@ def check_conjecture(name: str, g: SimpleGraph, budget: Optional[int] = None) ->
 
 
 def _reverify_class_two(g: SimpleGraph, budget: Optional[int]) -> bool:
-    """Whether a second search, in the dynamic order of `_colorable`
-    rather than the fixed order that decided chi', also finds no
-    Delta-coloring of G; a FAIL on a conjecture check is trusted only
-    when it does. A search that runs out of budget confirms nothing."""
+    """Whether a second search, `_colorable`, also finds no Delta-coloring
+    of G; a FAIL on a conjecture check is trusted only when it does. It
+    runs the backtracking loop that decided chi' and differs from that
+    search only in its edge order, dynamic (DSATUR) rather than fixed. A
+    search that runs out of budget confirms nothing."""
     try:
         colors, _ = _colorable(g, degree_profile(g).delta, graph_facts(g, budget).node_budget)
     except BudgetExceeded:
@@ -1095,8 +1096,12 @@ def scan_corpus(
     if workers > 1 and len(tasks) > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(workers) as pool:
-            packed = pool.map(_worker, tasks, chunksize=16)
+        # the pool hands out chunks of 16 tasks, so a process past the
+        # number of chunks would get no work
+        chunk = 16
+        processes = min(workers, -(-len(tasks) // chunk))
+        with mp.get_context("fork").Pool(processes) as pool:
+            packed = pool.map(_worker, tasks, chunksize=chunk)
     else:
         packed = [_worker(t) for t in tasks]
     counts: dict[str, dict[str, int]] = {}

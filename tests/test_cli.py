@@ -352,11 +352,12 @@ def test_bad_env_budget_is_an_op_error(value):
     assert "--budget" not in r.stderr
 
 
-# The exit code and the SHA-256 digests of stdout and stderr of five
+# The exit code and the SHA-256 digests of stdout and stderr of eight
 # commands, pinned so that a change meant to keep every byte shows that it
-# does. The verify run covers the reachability search and CONDITIONAL
-# verdicts; the second tau run a reachability search that stops at a
-# spanning fan.
+# does. The first verify run covers the reachability search and
+# CONDITIONAL verdicts; the second tau run a reachability search that
+# stops at a spanning fan; the last two verify runs the node budget of the
+# criticality searches.
 BYTE_GUARD = [
     (
         ("verify", "--checks", "all", "Du[", "Ecto", "F@de?", "Funjw"),
@@ -394,6 +395,21 @@ BYTE_GUARD = [
         0,
         "262e638903bf45d45457720e75d5fb79e864e04cf9f4582079b14f25e8817e5a",
         "6f82947c9e5f05b3b3c37e651b2b67f2ba105c15fdefefe0fd876acad663be53",
+    ),
+    (
+        # the criticality budget boundary: chi' takes 10 nodes and a
+        # G - e search runs out at 11, so val and main are UNKNOWN ...
+        ("verify", "--checks", "val,main,s1-adj", "--budget", "11", "FDhm_"),
+        2,
+        "39f940e4328cf7471dc9edc3f47b12f710521ca16512821eb81c1e454f0b8bcd",
+        "18ef9d9bfe5bb945de871cf6770b4537d786dcd4af235111543c3f933245b45a",
+    ),
+    (
+        # ... and at 12 every search is decided
+        ("verify", "--checks", "val,main,s1-adj", "--budget", "12", "FDhm_"),
+        0,
+        "3cb38baf3de784dbe2dc337e595e0867a85922baf6334028343f64068e596672",
+        "aa70010d7424b45b2c94b3e18d397610bcdfca628a94de555005f0994333f71f",
     ),
 ]
 

@@ -259,6 +259,24 @@ def test_colorable_is_pinned_over_the_class_two_corpus():
 def test_colorable_raises_when_the_budget_runs_out():
     with pytest.raises(solver.BudgetExceeded):
         solver._colorable(petersen(), 3, 5)
+    # the dynamic-order budget is exact, as the fixed order's is: the
+    # nodes a search reports suffice for the same answer, "no" answers
+    # included, and one fewer does not
+    for g, k, nodes in [
+        (petersen(), 3, 30),
+        (petersen(), 4, 15),
+        (complete(5), 4, 12),
+        (delete_edge(complete(5), 0), 4, 13),
+        (cycle(5), 2, 4),
+        (from_graph6("FDhm_"), 3, 9),
+        (delete_edge(from_graph6("FDhm_"), 0), 3, 9),
+        (path(40), 2, 39),
+    ]:
+        found = solver._colorable(g, k, 10**8)
+        assert found[1] == nodes
+        assert solver._colorable(g, k, nodes) == found
+        with pytest.raises(solver.BudgetExceeded):
+            solver._colorable(g, k, nodes - 1)
 
 
 def deletion_lowers_chi(g, e):
@@ -525,14 +543,22 @@ def test_raw_prefix_builds_no_coloring(monkeypatch):
     ],
 )
 def test_normal_leaves_are_one_per_color_renaming_orbit(g, e, k):
-    colors = [None] * g.m()
     live = [i for i in range(g.m()) if i != e]
-    leaves = [
-        tuple(colors)
-        for _ in solver._backtrack(g, live, k, solver._UNBOUNDED, colors)
-    ]
+
+    def leaves(dynamic):
+        colors = [None] * g.m()
+        return [
+            tuple(colors)
+            for _ in solver._backtrack(g, live, k, solver._UNBOUNDED, colors, dynamic)
+        ]
+
     orbits = {first_use_relabeling(c) for c in colorings_reference(g.n, list(g.edges), e, k)}
-    assert leaves == sorted(orbits)
+    fixed = leaves(False)
+    assert fixed == sorted(orbits)
+    # the dynamic (DSATUR) order reaches each orbit once too, at some
+    # member of it that is not always the least
+    renamed = sorted(first_use_relabeling(c) for c in leaves(True))
+    assert renamed == fixed
 
 
 def test_enumerate_truncation_flagged():

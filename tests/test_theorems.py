@@ -286,6 +286,42 @@ def test_scan_deterministic_across_workers():
     assert s1["checks"] == s2["checks"]
 
 
+@pytest.mark.parametrize("graphs,workers,processes", [
+    (3, 64, 1), (16, 2, 1), (17, 2, 2), (33, 64, 3), (40, 2, 2),
+])
+def test_scan_starts_no_process_without_a_chunk_of_work(
+        monkeypatch, graphs, workers, processes):
+    # the pool maps in chunks of 16 tasks; a fake pool that maps in
+    # process records how many processes the scan asks for
+    import multiprocessing
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, n):
+            asked.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, f, tasks, chunksize):
+            assert chunksize == 16
+            return [f(t) for t in tasks]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    lines = [to_graph6(cycle(n)) for n in range(3, 3 + graphs)]
+    cfg = ScanConfig(checks=("val",))
+    reports, summary = scan_corpus(lines, cfg, workers=workers)
+    assert asked == [processes]
+    assert (reports, summary) == scan_corpus(lines, cfg, workers=1)
+
+
 def test_scan_lines_are_canonical_json_for_every_worker_count(fixture_lines):
     # criterion 9's invariant: each line is the report encoded once with
     # sorted keys, so decoding and re-encoding gives the same bytes, and
