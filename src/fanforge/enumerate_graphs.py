@@ -18,10 +18,14 @@ for any parent list, a complete level or any part of one; the canonical
 deletion rule of the same paper would need a complete level.
 
 A child filter may carry a bound computed once per parent
-(`augment_level` documents the contract). `delta_critical_candidate`
-carries one, derived from Vizing's adjacency lemma: it names the
-subsets whose children can pass, and the parents none of whose children
-can, so the candidate scan builds, filters and certifies only those.
+(`augment_level` documents the contract): the ascending list of the
+subsets whose children the filter may accept. The list holds every
+subset whose child the filter accepts, and it is a union of orbits of the
+parent's automorphism group. `delta_critical_candidate` carries one,
+derived from Vizing's adjacency lemma and built without a loop over all
+subsets, so the candidate scan builds, filters and certifies only the
+children of listed subsets, and skips a parent with an empty list before
+its automorphisms are searched.
 
 Used to build the graph6 fixture corpora where no external generator is
 available; counts are cross-checked against the published sequence
@@ -30,6 +34,7 @@ available; counts are cross-checked against the published sequence
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 CONNECTED_COUNTS = {
@@ -39,45 +44,72 @@ CONNECTED_COUNTS = {
 Masks = tuple[int, ...]
 
 
-def _refine(n: int, nbrs: Sequence[Sequence[int]], colors: list[int]) -> tuple[list[int], int]:
-    """Equitable refinement; returns (colors, class count). Invariant under
-    relabeling because classes are ranked by sorted signatures.
+def _refine(
+    nbrs: Sequence[Sequence[int]], cells: list[list[int]], fresh: list[int]
+) -> list[list[int]]:
+    """Equitable refinement of an ordered partition, cells of ascending
+    vertices. Invariant under relabeling: sub-cells are ranked by
+    signature.
 
-    A vertex's signature is one int: its color + 1, then its neighbor
-    count in each class, `n.bit_length()` bits per count, so a signature
-    is the sum of one weight per neighbor. Every signature of a round has
-    the same fields, so int order is the order of the tuples
-    (color, count, ...)."""
+    A round splits every cell by its members' neighbor counts in each
+    cell at the start of the round, sub-cells in ascending order of the
+    count tuples (first cell first), in place of the cell; the rounds stop
+    when no cell splits. Only the counts in the `fresh` cells (indices,
+    ascending) are computed. The caller vouches for every other cell Y:
+    the members of each cell have equal counts in Y, or Y is the last
+    piece of a split cell X whose other pieces are fresh and in which
+    they have equal counts. Such a count is X's count less the counts in
+    X's earlier pieces, so the tuples of fresh counts rank as the full
+    tuples do. After a round this holds with the pieces of each cell that
+    split, less its last piece, as the fresh cells.
+
+    A signature is one int: the counts in the fresh cells,
+    `n.bit_length()` bits per count, first cell highest, so int order is
+    the order of the count tuples. It is summed from the fresh vertices'
+    neighbor lists, so a cell with no neighbor among them does not split.
+    """
+    n = len(nbrs)
     width = n.bit_length()
-    ncls = len(set(colors))
-    while True:
-        # colors run over -1..max(colors): one count field per color
-        top = max(colors) + 1
-        weight = [1 << (width * (top - 1 - c)) for c in colors]
-        color_shift = width * (top + 1)
-        sigs = [
-            ((c + 1) << color_shift) + sum(map(weight.__getitem__, nb))
-            for c, nb in zip(colors, nbrs)
-        ]
-        uniq = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(uniq)}
-        colors = [rank[s] for s in sigs]
-        if len(uniq) == ncls:
-            return colors, ncls
-        ncls = len(uniq)
+    while fresh and len(cells) < n:
+        top = len(cells) - 1
+        sig = [0] * n
+        for i in fresh:
+            w = 1 << (width * (top - i))
+            for u in cells[i]:
+                for x in nbrs[u]:
+                    sig[x] += w
+        out: list[list[int]] = []
+        fresh = []
+        for cell in cells:
+            if len(cell) > 1:
+                sigs = [sig[v] for v in cell]
+                if sigs.count(sigs[0]) != len(sigs):
+                    parts: dict[int, list[int]] = {s: [] for s in sorted(set(sigs))}
+                    for v, s in zip(cell, sigs):
+                        parts[s].append(v)
+                    fresh.extend(range(len(out), len(out) + len(parts) - 1))
+                    out.extend(parts.values())
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
 
 
-def _leaf_cert(n: int, adj: Sequence[int], pos: Sequence[int]) -> int:
-    """Packed upper triangle of the relabeling that puts pos[i] at i."""
+def _leaf_cert(nbrs: Sequence[Sequence[int]], pos: Sequence[int]) -> int:
+    """Packed upper triangle of the relabeling that puts pos[i] at i, read
+    from the neighbor lists: row i appends its bits j = i + 1, ..., n - 1."""
+    n = len(pos)
+    rev = [0] * n
+    for i, v in enumerate(pos):
+        rev[v] = 1 << (n - 1 - i)
     cert = 0
-    for i in range(n):
-        ai = adj[pos[i]]
-        for j in range(i + 1, n):
-            cert = (cert << 1) | ((ai >> pos[j]) & 1)
+    for i, v in enumerate(pos):
+        k = n - 1 - i
+        cert = (cert << k) | (sum(map(rev.__getitem__, nbrs[v])) & ((1 << k) - 1))
     return cert
 
 
-def _interchangeable(n: int, adj: Sequence[int], members: list[int], cm: int) -> bool:
+def _interchangeable(adj: Sequence[int], members: list[int], cm: int) -> bool:
     """True when every transposition inside the class is an automorphism:
     identical adjacency outside the class, and the class induces either an
     independent set or a clique."""
@@ -100,6 +132,10 @@ def _search(adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
     and generators of Aut(G), each a tuple perm with perm[v] the image
     of v.
 
+    A node is an equitable ordered partition; its children individualize
+    each member v of the first cell with more than one member, putting
+    [v] first and the rest of v's cell in that cell's place, and refine.
+    A leaf (all cells singletons) gives the relabeling in cell order.
     Two leaves with equal packed adjacency give the automorphism that
     maps one onto the other; every leaf equal to the best one so far
     gives one. A class whose transpositions are all automorphisms
@@ -111,18 +147,23 @@ def _search(adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
     n = len(adj)
     if n <= 1:
         return 0, []
-    nbrs = [[w for w in range(n) if (a >> w) & 1] for a in adj]
+    nbrs = []
+    for a in adj:
+        row = []
+        while a:
+            low = a & -a
+            row.append(low.bit_length() - 1)
+            a ^= low
+        nbrs.append(row)
     best: Optional[int] = None
     best_pos: list[int] = []
     gens: dict[tuple[int, ...], None] = {}
 
-    def rec(colors: list[int], ncls: int):
+    def rec(cells: list[list[int]]):
         nonlocal best, best_pos
-        if ncls == n:
-            pos = [0] * n
-            for v, c in enumerate(colors):
-                pos[c] = v
-            cert = _leaf_cert(n, adj, pos)
+        if len(cells) == n:
+            pos = [cell[0] for cell in cells]
+            cert = _leaf_cert(nbrs, pos)
             if best is None or cert < best:
                 best, best_pos = cert, pos
             elif cert == best:
@@ -131,15 +172,13 @@ def _search(adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
                     perm[best_pos[i]] = pos[i]
                 gens[tuple(perm)] = None
             return
-        # first class (lowest color) with more than one member
-        cells: list[list[int]] = [[] for _ in range(ncls)]
-        for v in range(n):
-            cells[colors[v]].append(v)
-        members = next(cell for cell in cells if len(cell) > 1)
+        for i, members in enumerate(cells):
+            if len(members) > 1:
+                break
         cm = 0
         for v in members:
             cm |= 1 << v
-        if _interchangeable(n, adj, members, cm):
+        if _interchangeable(adj, members, cm):
             first = members[0]
             for v in members[1:]:
                 perm = list(range(n))
@@ -148,14 +187,21 @@ def _search(adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
             cand = members[:1]
         else:
             cand = members
+        # [v] and the rest of its cell are the pieces of an equitable cell,
+        # so [v] is the one fresh cell
+        before, after = cells[:i], cells[i + 1:]
         for v in cand:
-            nxt = colors.copy()
-            nxt[v] = -1
-            nxt, k2 = _refine(n, nbrs, nxt)
-            rec(nxt, k2)
+            rest = members.copy()
+            rest.remove(v)
+            rec(_refine(nbrs, [[v], *before, rest, *after], [0]))
 
-    colors, ncls = _refine(n, nbrs, [0] * n)
-    rec(colors, ncls)
+    # the first round splits the one cell by degree, ascending; its pieces
+    # but the last are fresh
+    by_degree: dict[int, list[int]] = {}
+    for v, row in enumerate(nbrs):
+        by_degree.setdefault(len(row), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    rec(_refine(nbrs, cells, list(range(len(cells) - 1))))
     assert best is not None
     return best, list(gens)
 
@@ -270,29 +316,21 @@ def augment_level(
     subset of each orbit is built, tested and certified.
 
     `keep` may carry a `parent_bound` attribute, a function of the parent
-    that returns None when `keep` rejects every child of it, and otherwise
-    `(must, among, least)`: `keep` rejects every child whose subset misses
-    a vertex of the mask `must` or holds fewer than `least` vertices of
-    the mask `among`. The bound may only reject children that `keep`
-    would reject; a rejected parent is skipped before its automorphisms
-    are computed, and a rejected subset before its child is built. The
-    result is the same with or without the bound.
+    that returns the subsets, ascending, whose children `keep` may
+    accept. The list must hold every subset whose child `keep` accepts,
+    and be a union of orbits of the parent's automorphism group, so that
+    the least subset of each orbit in it is the one the unbounded loop
+    tests. A parent with an empty list is skipped before its
+    automorphisms are computed, and a subset outside the list before its
+    child is built. The result is the same with or without the bound.
     """
     bound = getattr(keep, "parent_bound", None)
     seen: dict[int, Masks] = {}
     for parent in parents:
         np1 = len(parent)
-        if bound is None:
-            subsets: Iterable[int] = range(1, 1 << np1)
-        else:
-            limits = bound(parent)
-            if limits is None:
-                continue
-            must, among, least = limits
-            subsets = [
-                s for s in range(1, 1 << np1)
-                if s & must == must and (s & among).bit_count() >= least
-            ]
+        subsets = range(1, 1 << np1) if bound is None else bound(parent)
+        if not subsets:
+            continue
         lo_bits = np1 // 2
         lo_mask = (1 << lo_bits) - 1
         lo_rows, hi_rows = _child_rows(parent, lo_bits)
@@ -390,42 +428,83 @@ def delta_critical_candidate(adj: Sequence[int]) -> bool:
     return False
 
 
-def _candidate_parent_bound(parent: Masks) -> Optional[tuple[int, int, int]]:
-    """`delta_critical_candidate.parent_bound`: which subsets of the
-    parent can give a child that `delta_critical_candidate` keeps.
+def _submasks(mask: int) -> Iterable[int]:
+    """The submasks of `mask` with at least two members."""
+    sub = mask
+    while sub:
+        if sub & (sub - 1):
+            yield sub
+        sub = (sub - 1) & mask
 
-    Let top be the parent's maximum degree, hi the mask of its vertices of
-    degree at least top - 1, and c(v) = |N(v) & hi|. If some c(v) = 0, no
-    child is kept (None). Otherwise a kept child's subset s contains every
-    v with c(v) = 1 and at least two vertices of hi: (must, hi, 2).
 
-    Proof. Let D be the child's maximum degree and x its new vertex.
-    1. The adjacency bound at an edge uw gives u at least
-       D - d(w) + 1 >= 1 max-degree neighbors other than w. Take one, w';
-       the bound at uw' gives u one other than w'. So every vertex of a
-       kept child (the child is connected, so it has an edge at every
-       vertex) has at least two neighbors of degree D.
-    2. D >= top, and joining x raises a parent degree by at most 1. So a
-       parent vertex of child degree D has parent degree >= D - 1 >=
-       top - 1: it is in hi.
-    3. By 1 and 2, a parent vertex v outside s needs two neighbors in hi;
-       v in s needs one (x can be the other); x, whose neighbors are s,
-       needs two members of s in hi. A vertex with c(v) = 0 fails either
-       way, and one with c(v) = 1 must be in s.
-    Children with a vertex of degree at most 1 are rejected by 1 as well,
-    so they need no case of their own.
+def _candidate_subsets(parent: Masks) -> list[int]:
+    """`delta_critical_candidate.parent_bound`: the subsets of a connected
+    parent, ascending, whose children `delta_critical_candidate` may keep.
+
+    Let top be the parent's maximum degree, T the mask of its vertices of
+    degree top and T1 of those of degree top - 1; let x be the new vertex,
+    s its subset, k = |s| and D the child's maximum degree.
+
+    Proof. 1. The adjacency bound at an edge uw gives u at least
+    D - d(w) + 1 >= 1 max-degree neighbors other than w. Take one, w';
+    the bound at uw' gives u one other than w'. So every vertex of a kept
+    child (the child is connected, so it has an edge at every vertex) has
+    at least two neighbors of degree D.
+    2. Joining x raises the degrees of s by one, so D is the larger of k
+    and top + [s meets T]. If k is larger, x is the only vertex of degree
+    D, against 1. So k <= D = top + [s meets T].
+    3. If s meets T, the parent vertices of child degree D are s & T; if
+    s misses T, they are T | (s & T1). x has degree D exactly when k = D.
+    x's neighbors are s, so by 1 |s & T| >= 2 in the first case and
+    |s & T1| >= 2 in the second.
+    4. Fix s & T, or s & T1 when s misses T, and with it the parent
+    vertices of degree D. By 1, a parent vertex with none of them as
+    neighbors rejects every such s, and one with a single one needs x as
+    its second: it lies in s, so it is in the fixed part or free, and
+    k = D.
+    So each choice in 4 fixes part of s, and the other vertices outside
+    T (and outside T1 in the second case) are free up to |s| <= D: the
+    list is built from those, never from a loop over every subset. Its
+    rule reads degrees and adjacency only, so it is a union of orbits of
+    the parent's automorphism group.
     """
+    n = len(parent)
+    full = (1 << n) - 1
     deg = [m.bit_count() for m in parent]
     top = max(deg)
-    hi = sum(1 << v for v, d in enumerate(deg) if d >= top - 1)
-    must = 0
-    for v, m in enumerate(parent):
-        c = (m & hi).bit_count()
-        if c == 0:
-            return None
-        if c == 1:
-            must |= 1 << v
-    return must, hi, 2
+    t = t1 = 0
+    for v, d in enumerate(deg):
+        if d == top:
+            t |= 1 << v
+        elif d == top - 1:
+            t1 |= 1 << v
+    # (s & T or s & T1, the parent vertices of degree D, the free vertices, D)
+    choices = [(part, part, full & ~t, top + 1) for part in _submasks(t)]
+    choices += [(part, t | part, full & ~(t | t1), top) for part in _submasks(t1)]
+    out = []
+    for part, big, free, d in choices:
+        # vertices with at least one and at least two neighbors in big
+        ones = twos = 0
+        rest = big
+        while rest:
+            low = rest & -rest
+            a = parent[low.bit_length() - 1]
+            twos |= ones & a
+            ones |= a
+            rest ^= low
+        need = full & ~twos
+        if ones != full or need & ~(part | free):
+            continue
+        base = part | need
+        room = d - base.bit_count()
+        if room < 0:
+            continue
+        free &= ~need
+        bits = [1 << v for v in range(n) if (free >> v) & 1]
+        for size in (room,) if need else range(room + 1):
+            out.extend(base | sum(c) for c in combinations(bits, size))
+    out.sort()
+    return out
 
 
-delta_critical_candidate.parent_bound = _candidate_parent_bound
+delta_critical_candidate.parent_bound = _candidate_subsets

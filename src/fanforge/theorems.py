@@ -1093,12 +1093,12 @@ def scan_corpus(
     independent of the worker count, plus a summary of the verdict
     counts per check."""
     tasks = [(i, s, cfg) for i, s in graph6_lines(lines)]
-    if workers > 1 and len(tasks) > 1:
+    # the pool hands out chunks of 16 tasks, so a process past the number
+    # of chunks would get no work, and one chunk runs in process
+    chunk = 16
+    if workers > 1 and len(tasks) > chunk:
         import multiprocessing as mp
 
-        # the pool hands out chunks of 16 tasks, so a process past the
-        # number of chunks would get no work
-        chunk = 16
         processes = min(workers, -(-len(tasks) // chunk))
         with mp.get_context("fork").Pool(processes) as pool:
             packed = pool.map(_worker, tasks, chunksize=chunk)

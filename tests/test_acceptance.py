@@ -14,7 +14,9 @@ import pytest
 from fanforge.colorings import PartialEdgeColoring, kempe_swap
 from fanforge.enumerate_graphs import (
     augment_level,
+    canonical_form,
     delta_critical_candidate,
+    masks_to_graph6,
 )
 from fanforge.fans import grow_multifan, normalize_typical
 from fanforge.graphs import (
@@ -52,6 +54,7 @@ from fanforge.theorems import (
     scan_corpus,
     _max_fan_for,
 )
+from conftest import FIXTURES
 from oracles import decode_graph6_reference, encode_graph6_reference
 
 LEMMA_CORPUS = [
@@ -240,13 +243,19 @@ def test_criterion_7_theorem_scan_n9():
     for n in range(2, 9):
         levels[n] = augment_level(levels[n - 1])
     criticals = []
+    canonical = []
     for n in range(3, 10):
         cands = augment_level(levels[n - 1], keep=delta_critical_candidate)
         for masks in cands:
             g = from_adj_masks(list(masks))
             if is_delta_critical(g):
                 criticals.append(g)
+                canonical.append(masks_to_graph6(canonical_form(masks)))
     t1 = time.time()
+    # the committed list of every critical graph with n <= 9, byte for byte:
+    # the candidate bound must lose none of them
+    fixture = (FIXTURES / "critical_n1_9.g6").read_text()
+    assert "".join(line + "\n" for line in sorted(canonical)) == fixture
     by_order = {}
     for g in criticals:
         by_order[g.n] = by_order.get(g.n, 0) + 1

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -228,11 +229,30 @@ def test_augment_level_builds_one_child_per_subset_orbit():
         assert built == minima
 
 
+def neighbor_lists(adj):
+    return [[w for w in range(len(adj)) if (a >> w) & 1] for a in adj]
+
+
+def cells_of(colors):
+    """The ordered partition of a color vector: classes by color, members
+    ascending."""
+    return [[v for v, c in enumerate(colors) if c == k] for k in sorted(set(colors))]
+
+
+def colors_of(cells):
+    colors = [0] * sum(map(len, cells))
+    for i, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = i
+    return colors, len(cells)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_refinement_equals_tuple_signature_refinement(data):
     # the packed int signatures must rank exactly as the tuples do, so the
-    # partitions, and with them the certificates, are unchanged
+    # partitions, and with them the certificates, are unchanged; every
+    # cell is fresh, so every signature is recomputed
     n = data.draw(st.integers(min_value=1, max_value=10))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
@@ -241,8 +261,78 @@ def test_refinement_equals_tuple_signature_refinement(data):
     colors = [data.draw(st.integers(min_value=0, max_value=ncls - 1)) for _ in range(n)]
     colors = [sorted(set(colors)).index(c) for c in colors]
     colors[data.draw(st.integers(min_value=0, max_value=n - 1))] = -1
-    nbrs = [[w for w in range(n) if (a >> w) & 1] for a in adj]
-    assert enumerate_graphs._refine(n, nbrs, colors) == refine_reference(n, adj, colors)
+    cells = cells_of(colors)
+    refined = enumerate_graphs._refine(neighbor_lists(adj), cells, list(range(len(cells))))
+    assert colors_of(refined) == refine_reference(n, adj, colors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refinement_of_an_individualized_vertex_needs_only_its_old_cell(data):
+    # from an equitable partition, individualizing v changes only v's
+    # cell: counting neighbors in its two pieces alone, or in the first
+    # piece [v] alone, gives the full refinement. The graph has a
+    # fixed-point-free involution v <-> v + m that keeps the start colors,
+    # so every cell has two members or more.
+    m = data.draw(st.integers(min_value=1, max_value=5))
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    inner = data.draw(st.sets(st.sampled_from(pairs)))
+    cross = data.draw(st.sets(st.sampled_from(pairs)))
+    edges = [(u, w) for u, w in inner if u != w]
+    edges += [(u + m, w + m) for u, w in edges]
+    edges += [(u, w + m) for u, w in cross] + [(w, u + m) for u, w in cross if u != w]
+    perm = data.draw(st.permutations(range(2 * m)))
+    adj = permuted(masks_from_edges(2 * m, edges), perm)
+    n = len(adj)
+    start = [0] * n
+    for v in range(m):
+        start[perm[v]] = start[perm[v + m]] = data.draw(st.integers(min_value=0, max_value=2))
+    nbrs = neighbor_lists(adj)
+    cells = enumerate_graphs._refine(nbrs, cells_of(start), list(range(len(set(start)))))
+    colors, ncls = colors_of(cells)
+    assert refine_reference(n, adj, colors) == (colors, ncls)  # equitable
+    assert all(len(cell) > 1 for cell in cells)
+    i = data.draw(st.integers(min_value=0, max_value=len(cells) - 1))
+    v = data.draw(st.sampled_from(cells[i]))
+    rest = [w for w in cells[i] if w != v]
+    individualized = [[v]] + cells[:i] + [rest] + cells[i + 1:]
+    colors[v] = -1
+    full = refine_reference(n, adj, colors)
+    for fresh in ([0, i + 1], [0]):
+        assert colors_of(enumerate_graphs._refine(nbrs, individualized, fresh)) == full
+
+
+# SHA-256 prefix of (canonical_cert, automorphism_generators) over every
+# graph of a set, recorded before the search refined ordered cells: the
+# fixture graphs under two fixed seeded relabelings, and every 16th graph
+# of the committed level-8 file. The certificate fixes every output list;
+# the generator lists fix which subsets `augment_level` tries.
+SEARCH_PINS = [
+    ("fixture", 1, 996, "0aca8b2ce146dda1"),
+    ("fixture", 2, 996, "80e142ce3cfa70df"),
+    ("n8", None, 695, "7a9227ab8a5ab7f1"),
+]
+
+
+@pytest.mark.parametrize("source,seed,count,digest", SEARCH_PINS)
+def test_certificates_and_generators_are_pinned(fixture_lines, source, seed, count, digest):
+    if source == "n8":
+        graphs = [
+            tuple(from_graph6(s).adj_mask) for s in CONNECTED_N8.read_text().split()[::16]
+        ]
+    else:
+        rng = random.Random(seed)
+        graphs = []
+        for line in fixture_lines:
+            g = tuple(from_graph6(line).adj_mask)
+            perm = list(range(len(g)))
+            rng.shuffle(perm)
+            graphs.append(permuted(g, perm))
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(repr((canonical_cert(g), automorphism_generators(g))).encode())
+    assert len(graphs) == count
+    assert h.hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -291,16 +381,19 @@ def child_of(parent, subset):
     ) + (subset,)
 
 
+def level_8_sample(offset=0):
+    # every 97th connected 8-vertex graph of the committed level-8 file
+    lines = CONNECTED_N8.read_text().split()
+    return [tuple(from_graph6(s).adj_mask) for s in lines[offset::97]]
+
+
 def assert_bound_rejects_only_rejected_children(parent):
-    bound = delta_critical_candidate.parent_bound(parent)
-    for subset in range(1, 1 << len(parent)):
-        if bound is not None:
-            must, among, least = bound
-            if subset & must == must and (subset & among).bit_count() >= least:
-                continue
-        assert not delta_critical_candidate(child_of(parent, subset)), (
-            parent, subset, bound,
-        )
+    # every subset outside the list gives a child the filter rejects
+    listed = delta_critical_candidate.parent_bound(parent)
+    assert listed == sorted(set(listed))
+    outside = set(range(1, 1 << len(parent))) - set(listed)
+    for subset in sorted(outside):
+        assert not delta_critical_candidate(child_of(parent, subset)), (parent, subset)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -308,6 +401,11 @@ def test_parent_bound_rejects_only_children_the_filter_rejects(n):
     # exhaustive over every subset of every parent of the level, in two
     # labelings
     for parent in connected_graphs(n) + relabeled_level(n, n):
+        assert_bound_rejects_only_rejected_children(parent)
+
+
+def test_parent_bound_rejects_only_children_the_filter_rejects_on_level_8():
+    for parent in level_8_sample():
         assert_bound_rejects_only_rejected_children(parent)
 
 
@@ -323,12 +421,25 @@ def test_parent_bound_is_sound_on_random_connected_graphs(data):
     assert_bound_rejects_only_rejected_children(masks_from_edges(n, tree + extra))
 
 
+def test_parent_bound_lists_a_union_of_orbits():
+    # augment_level takes the least listed subset of each orbit, so a
+    # list must equal its image under every automorphism
+    parents = [p for n in range(1, 8) for p in connected_graphs(n) + relabeled_level(n, n)]
+    for parent in parents + level_8_sample():
+        listed = delta_critical_candidate.parent_bound(parent)
+        for perm in automorphism_generators(parent):
+            image = sorted(
+                sum(1 << perm[v] for v in range(len(parent)) if (s >> v) & 1)
+                for s in listed
+            )
+            assert image == listed, (parent, perm)
+
+
 @pytest.mark.parametrize("offset", [0, 48])
 def test_bounded_augment_level_equals_unpruned_loop_on_level_8(offset):
-    # every 97th connected 8-vertex graph: the n = 9 candidates, as the
-    # benchmark grows them from a part of level 8
-    lines = CONNECTED_N8.read_text().split()
-    parents = [tuple(from_graph6(s).adj_mask) for s in lines[offset::97]]
+    # the n = 9 candidates, as the benchmark grows them from a part of
+    # level 8
+    parents = level_8_sample(offset)
     keep = delta_critical_candidate
     assert augment_level(parents, keep) == augment_level_reference(parents, keep)
 

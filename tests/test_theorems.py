@@ -277,8 +277,11 @@ def test_scan_empty_stream():
     assert exit_code(summary) == 0
 
 
-def test_scan_deterministic_across_workers():
+def test_scan_deterministic_across_workers(fixture_lines):
+    # more than one chunk of 16 graphs, so the scan forks a 2-process pool
     lines = [to_graph6(cycle(5)), to_graph6(complete(4)), to_graph6(K5E)]
+    lines += fixture_lines[::67]
+    assert len(lines) > 16
     cfg = ScanConfig()
     r1, s1 = scan_corpus(lines, cfg, workers=1)
     r2, s2 = scan_corpus(lines, cfg, workers=3)
@@ -287,12 +290,13 @@ def test_scan_deterministic_across_workers():
 
 
 @pytest.mark.parametrize("graphs,workers,processes", [
-    (3, 64, 1), (16, 2, 1), (17, 2, 2), (33, 64, 3), (40, 2, 2),
+    (3, 64, 0), (16, 2, 0), (17, 2, 2), (33, 64, 3), (40, 2, 2),
 ])
 def test_scan_starts_no_process_without_a_chunk_of_work(
         monkeypatch, graphs, workers, processes):
     # the pool maps in chunks of 16 tasks; a fake pool that maps in
-    # process records how many processes the scan asks for
+    # process records how many processes the scan asks for, and a scan of
+    # one chunk asks for no pool (processes 0)
     import multiprocessing
 
     asked = []
@@ -318,7 +322,7 @@ def test_scan_starts_no_process_without_a_chunk_of_work(
     lines = [to_graph6(cycle(n)) for n in range(3, 3 + graphs)]
     cfg = ScanConfig(checks=("val",))
     reports, summary = scan_corpus(lines, cfg, workers=workers)
-    assert asked == [processes]
+    assert asked == ([processes] if processes else [])
     assert (reports, summary) == scan_corpus(lines, cfg, workers=1)
 
 
