@@ -321,8 +321,9 @@ def augment_level(
     and be a union of orbits of the parent's automorphism group, so that
     the least subset of each orbit in it is the one the unbounded loop
     tests. A parent with an empty list is skipped before its
-    automorphisms are computed, and a subset outside the list before its
-    child is built. The result is the same with or without the bound.
+    automorphisms are computed, a parent with one listed subset needs
+    none, and a subset outside the list is skipped before its child is
+    built. The result is the same with or without the bound.
     """
     bound = getattr(keep, "parent_bound", None)
     seen: dict[int, Masks] = {}
@@ -334,7 +335,10 @@ def augment_level(
         lo_bits = np1 // 2
         lo_mask = (1 << lo_bits) - 1
         lo_rows, hi_rows = _child_rows(parent, lo_bits)
-        for subset in _orbit_minima(np1, automorphism_generators(parent), subsets):
+        # one listed subset is its own orbit, as the list is a union of orbits
+        if len(subsets) > 1:
+            subsets = _orbit_minima(np1, automorphism_generators(parent), subsets)
+        for subset in subsets:
             child = lo_rows[subset & lo_mask] + hi_rows[subset >> lo_bits] + (subset,)
             if keep is not None and not keep(child):
                 continue

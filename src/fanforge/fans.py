@@ -6,6 +6,12 @@ edge color is missing at some earlier spoke. Grown spokes must not be
 maximum-degree vertices; the base vertex s1 is always admitted (the
 degenerate fixture graphs need it even when every vertex has maximum
 degree).
+
+Each spoke hangs off a color missing at s1, which reaches it through a
+chain of spokes. One breadth-first walk, `_spoke_roots`, gives the typical
+form's two inducing sequences, the roots `verify_fan_linkage` compares and
+`stability_class`'s spanning test. The two stable-swap verifiers share one
+case generator.
 """
 
 from __future__ import annotations
@@ -216,6 +222,32 @@ def check_multifan(
     return out
 
 
+# -- spoke roots ----------------------------------------------------------------
+
+
+def _spoke_roots(
+    g: SimpleGraph, phi: PartialEdgeColoring, r: int, s1: int, spokes: Sequence[int]
+) -> dict[int, list[int]]:
+    """For each color missing at s1, ascending, the spokes it reaches, in
+    breadth-first order. A color reaches the spoke whose edge to r carries
+    it, and a reached spoke's missing colors reach further; each spoke is
+    reached at most once, by the first root that gets to it. The edge
+    colors at r are distinct, so a color reaches at most one spoke."""
+    at_r = incident(g)[r]
+    colors, missing = phi.assignment, phi.missing
+    unreached = {colors[at_r[s]]: s for s in spokes}
+    out: dict[int, list[int]] = {}
+    for root in _mask_to_colors(missing[s1]):
+        reached = out[root] = []
+        todo = [root]
+        for c in todo:
+            s = unreached.pop(c, None)
+            if s is not None:
+                reached.append(s)
+                todo += _mask_to_colors(missing[s])
+    return out
+
+
 # -- typical normalization ---------------------------------------------------
 
 
@@ -224,43 +256,6 @@ class NormalizedFan:
     phi: PartialEdgeColoring
     fan: Multifan
     color_map: dict[int, int]  # old color -> new color
-
-
-def _fan_chains(
-    phi: PartialEdgeColoring, g: SimpleGraph, fan: Multifan
-) -> tuple[dict[int, list[int]], tuple[int, int]]:
-    """Split the spokes s2..sp into the two chains hanging off s1's missing
-    colors. Requires elementary V(F) and singleton missing sets beyond s1."""
-    r = fan.center
-    s1 = fan.sequence[0]
-    roots = phi.missing_at(s1)
-    if len(roots) != 2:
-        raise FanError(f"|missing(s1)| = {len(roots)}, need exactly 2")
-    edge_color_to_vertex = {}
-    for s in fan.sequence[1:]:
-        c = phi.color_of(g.edge_id(r, s))
-        if c in edge_color_to_vertex:
-            raise FanError("two spokes share an edge color")
-        edge_color_to_vertex[c] = s
-    chains: dict[int, list[int]] = {}
-    covered = set()
-    for root in roots:
-        chain = []
-        c = root
-        while c in edge_color_to_vertex:
-            s = edge_color_to_vertex[c]
-            if s in covered:
-                raise FanError("spoke reachable from both roots")
-            chain.append(s)
-            covered.add(s)
-            ms = phi.missing_at(s)
-            if len(ms) != 1:
-                raise FanError(f"spoke {s} misses {len(ms)} colors, need 1")
-            c = ms[0]
-        chains[root] = chain
-    if covered != set(fan.sequence[1:]):
-        raise FanError("spokes not covered by the two root chains")
-    return chains, (roots[0], roots[1])
 
 
 def typical_shape_error(
@@ -302,8 +297,19 @@ def normalize_typical(
         raise FanError(bad)
     if not phi.is_elementary(fan.vertex_set()):
         raise FanError("fan vertex set is not elementary")
-    chains, roots = _fan_chains(phi, g, fan)
+    roots = phi.missing_at(s1)
+    if len(roots) != 2:
+        raise FanError(f"|missing(s1)| = {len(roots)}, need exactly 2")
     a, b = roots
+    # V(F) is elementary, so each color is missing at one fan vertex at
+    # most and no spoke is reachable from both roots
+    chains = _spoke_roots(g, phi, r, s1, fan.sequence[1:])
+    for s in chains[a] + chains[b]:
+        n = phi.missing_mask(s).bit_count()
+        if n != 1:
+            raise FanError(f"spoke {s} misses {n} colors, need 1")
+    if len(chains[a]) + len(chains[b]) != len(fan.sequence) - 1:
+        raise FanError("spokes not covered by the two root chains")
     # the chain labeled "2" comes first; prefer a nonempty chain, then the
     # lower original root color
     if chains[a] and not chains[b]:
@@ -340,11 +346,12 @@ def normalize_typical(
 
     colors = [None if c is None else cmap[c] for c in phi.assignment]
     phi2 = PartialEdgeColoring.from_assignment(g, k, colors, uncolored=phi.uncolored)
+    at_r = incident(g)[r]
     fan2 = Multifan(
         center=r,
         uncolored_edge=fan.uncolored_edge,
         sequence=tuple(new_seq),
-        edge_colors={s: phi2.color_of(g.edge_id(r, s)) for s in new_seq[1:]},
+        edge_colors={s: colors[at_r[s]] for s in new_seq[1:]},
         missing={v: phi2.missing_mask(v) for v in [r] + new_seq},
         typical=TypicalForm(alpha, beta, tuple(two_chain), tuple(delta_chain)),
     )
@@ -542,37 +549,23 @@ def stability_class(
     r = fan.center
     seq = fan.sequence
     s1 = seq[0]
+    at_r = incident(g)[r]
 
     f_stable = all(
         phi2.missing_mask(v) == phi.missing_mask(v) for v in fan.vertex_set()
     ) and all(
-        phi2.color_of(g.edge_id(r, s)) == phi.color_of(g.edge_id(r, s))
-        for s in seq[1:]
+        phi2.assignment[at_r[s]] == phi.assignment[at_r[s]] for s in seq[1:]
     )
     if f_stable:
         return "F-stable"
 
-    # does V(F) still span a multifan at r under phi2?
-    member = {s1}
-    missing_union = phi2.missing_mask(s1)
-    grew = True
-    while grew:
-        grew = False
-        for s in seq[1:]:
-            if s in member:
-                continue
-            c = phi2.color_of(g.edge_id(r, s))
-            if c is not None and (missing_union >> (c - 1)) & 1:
-                member.add(s)
-                missing_union |= phi2.missing_mask(s)
-                grew = True
-    spans = member == set(seq)
+    # V(F) still spans a multifan at r under phi2 when s1's missing
+    # colors reach every spoke
+    spans = {s1}.union(*_spoke_roots(g, phi2, r, s1, seq[1:]).values()) == set(seq)
     s1_same = phi2.missing_mask(s1) == phi.missing_mask(s1)
-    union_old = 0
+    union_old = union_new = 0
     for s in seq:
         union_old |= phi.missing_mask(s)
-    union_new = 0
-    for s in seq:
         union_new |= phi2.missing_mask(s)
     if spans and s1_same and union_old == union_new:
         if phi2.missing_mask(r) == phi.missing_mask(r):
@@ -668,41 +661,6 @@ def check_kierstead_path(
 
 
 # -- verifiers -----------------------------------------------------------------
-
-
-def _parents_and_roots(
-    g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
-) -> dict[int, int]:
-    """Root color in missing(s1) whose chain reaches each spoke; general
-    fans (any |missing(s1)|). Requires elementary V(F)."""
-    r = fan.center
-    seq = fan.sequence
-    s1 = seq[0]
-    color_owner = {}
-    for s in seq:
-        for c in phi.missing_at(s):
-            color_owner[c] = s
-    out: dict[int, int] = {}
-
-    def root_of(s: int) -> int:
-        if s == s1:
-            return -1
-        if s in out:
-            return out[s]
-        c = phi.color_of(g.edge_id(r, s))
-        owner = color_owner.get(c)
-        if owner is None:
-            raise FanError(f"spoke color {c} missing at no fan vertex")
-        if owner == s1:
-            out[s] = c
-            return c
-        rt = root_of(owner)
-        out[s] = rt
-        return rt
-
-    for s in seq[1:]:
-        root_of(s)
-    return out
 
 
 def verify_fan_elementary(
@@ -812,14 +770,16 @@ def verify_fan_linkage(
                         name, part="a", r=r, s=s, colors=[gamma, delta],
                         coloring=phi.to_line(),
                     )
-    roots = _parents_and_roots(g, phi, fan)
-    roots[s1] = -1
+    # a valid multifan has every spoke reached; s1 roots each of its own
+    # missing colors
+    roots = {s: root for root, spokes in _spoke_roots(g, phi, r, s1, seq[1:]).items()
+             for s in spokes}
     for i, si in enumerate(seq):
         for sj in seq[i + 1:]:
             for dcol in phi.missing_at(si):
-                ri = dcol if si == s1 else roots[si]
+                ri = roots.get(si, dcol)
                 for lcol in phi.missing_at(sj):
-                    rj = lcol if sj == s1 else roots[sj]
+                    rj = roots.get(sj, lcol)
                     if ri != rj:
                         checked["b"] += 1
                         if not are_linked(phi, si, sj, dcol, lcol):
@@ -878,6 +838,32 @@ def verify_kp_elementary(
     )
 
 
+def _stable_swap_cases(g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan):
+    """The swaps of the two stable-swap lemmas as (x, a, b, case): for each
+    vertex x outside V(F) and each color gamma missing on V(F), both
+    ascending, the pair (1, gamma) ("1-gamma"), then (gamma, Delta) when
+    gamma hangs off root 2 ("gamma-Delta") or (2, gamma) when it hangs
+    off root Delta ("2-gamma"). A pair is kept when its colors differ and
+    x misses one of them. Needs a typical fan."""
+    delta = degree_profile(g).delta
+    imap = inducing_map(g, phi, fan)
+    cases = []
+    for gamma in sorted(fan_missing_union(phi, fan)):
+        cases.append((1, gamma, "1-gamma"))
+        root = None if gamma == 1 else imap.root_of(gamma)
+        if root == "2":
+            cases.append((gamma, delta, "gamma-Delta"))
+        elif root == "delta":
+            cases.append((2, gamma, "2-gamma"))
+    cases = [(a, b, case, 1 << (a - 1) | 1 << (b - 1)) for a, b, case in cases if a != b]
+    vs = set(fan.vertex_set())
+    for x in range(g.n):
+        if x not in vs:
+            for a, b, case, pair in cases:
+                if phi.missing[x] & pair:
+                    yield x, a, b, case
+
+
 def verify_stable_swaps(
     g: SimpleGraph,
     phi: PartialEdgeColoring,
@@ -895,36 +881,19 @@ def verify_stable_swaps(
         return gate
     if fan.typical is None:
         return V.inapplicable(name, "fan is not typical")
-    delta = degree_profile(g).delta
-    imap = inducing_map(g, phi, fan)
-    vs = set(fan.vertex_set())
-    fan_missing = sorted(fan_missing_union(phi, fan))
     checked = 0
-    for x in range(g.n):
-        if x in vs:
+    for x, a, b, case in _stable_swap_cases(g, phi, fan):
+        chain = phi.chain_at(x, a, b)
+        if case != "1-gamma" and fan.center in chain.vertices:
             continue
-        for gamma in fan_missing:
-            cases = [(1, gamma, "1-gamma", True)]
-            if gamma != 1 and imap.root_of(gamma) == "2":
-                cases.append((gamma, delta, "gamma-Delta", False))
-            if gamma != 1 and imap.root_of(gamma) == "delta":
-                cases.append((2, gamma, "2-gamma", False))
-            for a, b, label, always in cases:
-                if a == b:
-                    continue
-                if not (phi.misses(x, a) or phi.misses(x, b)):
-                    continue
-                chain = phi.chain_at(x, a, b)
-                if not always and fan.center in chain.vertices:
-                    continue
-                phi2 = kempe_swap(phi, chain)
-                checked += 1
-                got = stability_class(phi2, phi, fan)
-                if got != "F-stable":
-                    return V.failed(
-                        name, x=x, swap=[a, b], case=label, got=got,
-                        coloring=phi.to_line(),
-                    )
+        phi2 = kempe_swap(phi, chain)
+        checked += 1
+        got = stability_class(phi2, phi, fan)
+        if got != "F-stable":
+            return V.failed(
+                name, x=x, swap=[a, b], case=case, got=got,
+                coloring=phi.to_line(),
+            )
     return V.passed(name, checked=checked)
 
 
@@ -943,31 +912,15 @@ def verify_vf_stable_swaps(
         return gate
     if fan.typical is None:
         return V.inapplicable(name, "fan is not typical")
-    delta = degree_profile(g).delta
-    imap = inducing_map(g, phi, fan)
-    vs = set(fan.vertex_set())
-    fan_missing = sorted(fan_missing_union(phi, fan))
     checked = 0
-    for x in range(g.n):
-        if x in vs:
+    for x, a, b, case in _stable_swap_cases(g, phi, fan):
+        if case == "1-gamma":
             continue
-        for gamma in fan_missing:
-            root = imap.root_of(gamma)
-            if gamma == 1:
-                continue
-            if root == "2":
-                a, b = gamma, delta
-            elif root == "delta":
-                a, b = 2, gamma
-            else:
-                continue
-            if a == b or not (phi.misses(x, a) or phi.misses(x, b)):
-                continue
-            phi2 = kempe_swap(phi, phi.chain_at(x, a, b))
-            checked += 1
-            got = stability_class(phi2, phi, fan)
-            if not at_least_stable(got, "V(F)-stable"):
-                return V.failed(
-                    name, x=x, swap=[a, b], got=got, coloring=phi.to_line()
-                )
+        phi2 = kempe_swap(phi, phi.chain_at(x, a, b))
+        checked += 1
+        got = stability_class(phi2, phi, fan)
+        if not at_least_stable(got, "V(F)-stable"):
+            return V.failed(
+                name, x=x, swap=[a, b], got=got, coloring=phi.to_line()
+            )
     return V.passed(name, checked=checked)

@@ -417,28 +417,39 @@ def _chains_cut(
     return x not in phi.chain_at(s1, a, b).vertices
 
 
+def _post_pairs(item: str, tau: int, delta: int) -> tuple[tuple[int, int], ...]:
+    """The color pairs of item iii-vii's post-condition: x must be cut off
+    s1's chain in one of them. Empty for items i and ii, which read
+    missing sets."""
+    if item in ("i", "ii"):
+        return ()
+    if item in ("iii", "iv", "vi"):
+        return ((tau, delta),)
+    if item == "v":
+        return ((tau, delta), (2, tau))
+    if item == "vii":
+        return ((2, tau),)
+    raise ValueError(item)
+
+
 def _witness_post_ok(
     item: str,
     phi2: PartialEdgeColoring,
     fan: Multifan,
     x: int,
-    tau: int,
-    delta: int,
+    pairs: tuple[tuple[int, int], ...],
 ) -> bool:
-    s1 = fan.sequence[0]
+    """The item's post-condition on phi2; `pairs` is the item's
+    `_post_pairs`."""
     if item == "i":
         return phi2.misses(x, 1)
     if item == "ii":
         return bool(phi2.missing_mask(fan.center) & phi2.missing_mask(x))
-    if item in ("iii", "iv", "vi"):
-        return bool(_chains_cut(phi2, s1, x, tau, delta))
-    if item == "v":
-        return bool(_chains_cut(phi2, s1, x, tau, delta)) or bool(
-            _chains_cut(phi2, s1, x, 2, tau)
-        )
-    if item == "vii":
-        return bool(_chains_cut(phi2, s1, x, 2, tau))
-    raise ValueError(item)
+    s1 = fan.sequence[0]
+    for a, b in pairs:
+        if _chains_cut(phi2, s1, x, a, b):
+            return True
+    return False
 
 
 def _post_verdicts(
@@ -451,34 +462,28 @@ def _post_verdicts(
 ):
     """`_witness_post_ok` as a `kempe_bfs` goal for a search from phi.
 
-    For items iii-vii the post-condition reads only the chains of the
-    pairs below and, at s1 and x, whether both colors of such a pair are
+    For items iii-vii the post-condition reads only the chains of its
+    `_post_pairs` and, at s1 and x, whether both colors of such a pair are
     present, a fact of the pair's subgraph. A swap on a pair that equals
     each of them or shares no color with it keeps all of that, so the new
     state takes its parent's verdict instead of a new test. Items i and
     ii read missing sets and are always tested.
     """
-    post_pairs = {
-        "iii": ((tau, delta),),
-        "iv": ((tau, delta),),
-        "v": ((tau, delta), (2, tau)),
-        "vi": ((tau, delta),),
-        "vii": ((2, tau),),
-    }.get(item)
+    pairs = _post_pairs(item, tau, delta)
     keeps = set()
-    if post_pairs is not None:
+    if pairs:
         keeps = {
             (a, b)
             for a, b in combinations(range(1, phi.k + 1), 2)
-            if all((a in p) == (b in p) for p in post_pairs)
+            if all((a in p) == (b in p) for p in pairs)
         }
-    post = {phi.packed_key(): _witness_post_ok(item, phi, fan, x, tau, delta)}
+    post = {phi.packed_key(): _witness_post_ok(item, phi, fan, x, pairs)}
 
     def post_ok(nxt: PartialEdgeColoring, key: int, parent: int, move) -> bool:
         if isinstance(move, Chain) and move.colors in keeps:
             verdict = post[parent]
         else:
-            verdict = _witness_post_ok(item, nxt, fan, x, tau, delta)
+            verdict = _witness_post_ok(item, nxt, fan, x, pairs)
         post[key] = verdict
         return verdict
 
@@ -791,7 +796,8 @@ def witness_tau_item(
             {"reason": reason, "sequence": ts.to_json()},
         )
 
-    if _witness_post_ok(item, phi, fan, x, tau, delta):
+    pairs = _post_pairs(item, tau, delta)
+    if _witness_post_ok(item, phi, fan, x, pairs):
         return WitnessResult(
             item, "WITNESS", phi, Transcript(),
             {"route": "already-satisfied", "sequence": ts.to_json()},
@@ -814,7 +820,7 @@ def witness_tau_item(
             "stability": stab,
             "stability_ok": at_least_stable(stab, want),
             "avoidance_ok": is_avoiding(tr, sorted(avoid)),
-            "post_ok": _witness_post_ok(item, phi2, fan, x, tau, delta),
+            "post_ok": _witness_post_ok(item, phi2, fan, x, pairs),
             "replay_ok": tr.replay(phi).signature() == phi2.signature(),
         }
         detail["checks"] = checks

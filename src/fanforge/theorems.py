@@ -985,15 +985,6 @@ class VerificationReport:
     meta: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)  # name -> list of verdict dicts
 
-    def worst(self) -> str:
-        rank = {V.FAIL: 4, V.UNKNOWN: 3, V.CONDITIONAL: 3, V.PASS: 1, V.INAPPLICABLE: 0}
-        worst = V.INAPPLICABLE
-        for vs in self.checks.values():
-            for vd in vs:
-                if rank[vd["status"]] > rank[worst]:
-                    worst = vd["status"]
-        return worst
-
     def to_json(self) -> dict:
         return {
             "line_no": self.line_no,

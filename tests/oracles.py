@@ -11,7 +11,9 @@ The Kempe-chain references are the closure-based walk that `chain_at` and
 `chains` used before the flat by-color table, reading colors from the
 assignment alone, and a swap that repaints the whole coloring. The
 lemma-sample reference runs every per-coloring verifier on every sampled
-coloring, with no verdict reused across colorings.
+coloring, with no verdict reused across colorings. The stability
+reference decides whether V(F) still spans a multifan by the fixpoint
+loop `stability_class` used before the spoke-root walk.
 """
 
 from __future__ import annotations
@@ -386,6 +388,49 @@ def kempe_swap_reference(phi, chain):
     return PartialEdgeColoring.from_assignment(
         phi.graph, phi.k, colors, uncolored=phi.uncolored
     )
+
+
+def stability_class_reference(phi2, phi, fan) -> str:
+    """`stability_class` with its own spanning test: add every spoke whose
+    edge color is missing at a member, starting from s1, until no spoke
+    joins; V(F) spans when every spoke joined."""
+    if phi.graph != phi2.graph or phi.uncolored != phi2.uncolored:
+        raise ValueError("colorings differ in graph or uncolored edge")
+    g = phi.graph
+    r = fan.center
+    seq = fan.sequence
+    s1 = seq[0]
+    if all(
+        phi2.missing_mask(v) == phi.missing_mask(v) for v in fan.vertex_set()
+    ) and all(
+        phi2.color_of(g.edge_id(r, s)) == phi.color_of(g.edge_id(r, s))
+        for s in seq[1:]
+    ):
+        return "F-stable"
+    member = {s1}
+    missing_union = phi2.missing_mask(s1)
+    grew = True
+    while grew:
+        grew = False
+        for s in seq[1:]:
+            if s in member:
+                continue
+            c = phi2.color_of(g.edge_id(r, s))
+            if c is not None and (missing_union >> (c - 1)) & 1:
+                member.add(s)
+                missing_union |= phi2.missing_mask(s)
+                grew = True
+    union_old = union_new = 0
+    for s in seq:
+        union_old |= phi.missing_mask(s)
+        union_new |= phi2.missing_mask(s)
+    if (member == set(seq)
+            and phi2.missing_mask(s1) == phi.missing_mask(s1)
+            and union_old == union_new):
+        if phi2.missing_mask(r) == phi.missing_mask(r):
+            return "V(F)-stable"
+        return "V(F-r)-stable"
+    return "none"
 
 
 def lemma_verdicts_reference(g, phi, r, s1):

@@ -1,11 +1,12 @@
 import pytest
-from conftest import graphs_with_edge
+from conftest import graphs_with_edge, leaf_padded_gadget
 from hypothesis import given, settings, strategies as st
 
 from fanforge.colorings import PartialEdgeColoring, kempe_swap
 from fanforge.fans import (
     FanError,
     KiersteadPath,
+    Multifan,
     check_kierstead_path,
     check_multifan,
     check_typical,
@@ -139,6 +140,17 @@ def test_normalize_rejects_bad_inputs(c5_fixture):
     fan = grow_multifan(g, phi, 0, 1)
     with pytest.raises(FanError):
         normalize_typical(g, phi, fan)  # spokes have maximum degree
+
+
+def test_normalize_rejects_spokes_no_root_reaches():
+    # spokes 2 and 3 miss each other's edge color, so neither missing color
+    # of s1 reaches them: not a multifan, though V(F) is elementary
+    g, phi = leaf_padded_gadget(5, [(3, 4), (4, 3)])
+    fan = Multifan(center=0, uncolored_edge=phi.uncolored, sequence=(1, 2, 3),
+                   edge_colors={}, missing={})
+    assert phi.is_elementary(fan.vertex_set()) and check_multifan(g, phi, fan)
+    with pytest.raises(FanError, match="spokes not covered by the two root chains"):
+        normalize_typical(g, phi, fan)
 
 
 def test_inducing_map_two_vertex_fan():

@@ -17,6 +17,7 @@ from fanforge.graphs import (
 from fanforge.recolor import (
     _eligible_shift_steps,
     _shift_steps_around,
+    _post_pairs,
     _post_verdicts,
     _witness_post_ok,
     MaximalityViolation,
@@ -590,13 +591,24 @@ def test_post_verdicts_equal_a_fresh_test_on_every_state(delta, spokes):
                 verdicts = _post_verdicts(item, phi, fan, x, tau, delta)
 
                 def goal(nxt, key, parent, move):
-                    fresh = _witness_post_ok(item, nxt, fan, x, tau, delta)
+                    fresh = _witness_post_ok(item, nxt, fan, x, _post_pairs(item, tau, delta))
                     assert verdicts(nxt, key, parent, move) == fresh
                     return False
 
                 kempe_bfs(phi, swap_moves, budget=12, goal=goal)
                 searched += 1
     assert searched
+
+
+def test_item_v_post_condition_holds_through_either_pair(type_b1):
+    # a state Kempe-reachable from the gadget where x = 5 stays on s1's
+    # (tau, Delta)-chain but is cut off its (2, tau)-chain
+    g, phi, fan = type_b1
+    state = PartialEdgeColoring.from_line(
+        g, "4; 0=_,1=3,2=2,3=4,4=4,5=3,6=2,7=4,8=1,9=3,10=4,11=1,12=2,13=3")
+    got = {item: _witness_post_ok(item, state, fan, 5, _post_pairs(item, 3, 4))
+           for item in ("iii", "v", "vii")}
+    assert got == {"iii": False, "v": True, "vii": True}
 
 
 def test_shift_steps_around_the_center_equal_fresh_ones(type_ac):
