@@ -572,24 +572,6 @@ def are_linked(phi: PartialEdgeColoring, u: int, v: int, a: int, b: int) -> bool
     return x == v
 
 
-def double_swap_at(
-    phi: PartialEdgeColoring, x: int, a: int, b: int, c: int
-) -> PartialEdgeColoring:
-    """Swap on the (a,b)-chain at x, then on the (b,c)-chain at x.
-
-    The degenerate a == b case is the identity (a vacuous recoloring).
-    """
-    if a == b:
-        return phi.copy()
-    if not phi.misses(x, a):
-        raise ColoringError(f"color {a} not missing at {x}")
-    for col in (b, c):
-        if phi.misses(x, col):
-            raise ColoringError(f"color {col} not present at {x}")
-    step1 = kempe_swap_at(phi, x, a, b)
-    return kempe_swap_at(step1, x, b, c)
-
-
 # -- breadth-first search over recolorings -----------------------------------
 
 

@@ -1,23 +1,29 @@
 """Exact chromatic index, criticality, overfullness, and coloring enumeration.
 
-The class decision tries k = Delta with exhaustive backtracking in a fixed
+`chromatic_index` tries k = Delta with exhaustive backtracking in a fixed
 edge order; on failure k = Delta + 1 always succeeds. That search also
 yields G's witness coloring (the one the parity check prints). Overfull
 graphs skip the k = Delta attempt: a color class is a matching of at most
 floor(n/2) edges, so |E| > Delta*floor(n/2) rules out Delta colors without
 any search.
 
+The criticality questions ask for the class only, and `GraphFacts`
+decides it without a witness: G is class 2 when it is overfull or when
+removing one vertex (even n) or two (odd n) leaves an overfull subgraph,
+which also makes G non-critical; otherwise the dynamic-order search below
+decides whether G is Delta-colorable.
+
 Edge criticality in a class-2 graph is a Delta-decision: e is critical
-exactly when G - e is Delta-colorable. Vizing's theorem or the overfull
-bound settles most edges; the rest go to the same backtracking search in
-a dynamic (DSATUR) edge order. A Delta-coloring it finds for G - xy also
-certifies further edges by shifts (Stiebitz, Scheide, Toft and
-Favrholdt, Graph Edge Coloring, 2012, ch. 3): coloring xy with a color
-missing at y and uncoloring the edge xz of that color gives a
-Delta-coloring of G - xz. Every edge reached that way is critical without
-a search of its own, so the search runs only for the edges no shift
-reaches, and it alone answers "no". Everything is integer arithmetic; no
-verdict is ever probabilistic.
+exactly when G - e is Delta-colorable. Vizing's theorem, the overfull
+bound or that overfull subgraph settles most edges; the rest go to the
+same backtracking search in a dynamic (DSATUR) edge order. A
+Delta-coloring it finds for G - xy also certifies further edges by shifts
+(Stiebitz, Scheide, Toft and Favrholdt, Graph Edge Coloring, 2012, ch.
+3): coloring xy with a color missing at y and uncoloring the edge xz of
+that color gives a Delta-coloring of G - xz. Every edge reached that way
+is critical without a search of its own, so the search runs only for the
+edges no shift reaches, and it alone answers "no". Everything is integer
+arithmetic; no verdict is ever probabilistic.
 """
 
 from __future__ import annotations
@@ -77,12 +83,11 @@ class ClassVerdict:
 
 
 def _edge_order(g: SimpleGraph) -> list[int]:
-    # most-constrained-first: descending d(u)+d(v), ties by edge id
+    # most-constrained-first: descending d(u)+d(v), ties by edge id (the
+    # sort is stable)
     degs = g.degrees()
-    return sorted(
-        range(len(g.edges)),
-        key=lambda e: (-(degs[g.edges[e][0]] + degs[g.edges[e][1]]), e),
-    )
+    weight = [-(degs[u] + degs[v]) for u, v in g.edges]
+    return sorted(range(len(weight)), key=weight.__getitem__)
 
 
 def _backtrack(
@@ -299,30 +304,68 @@ class GraphFacts:
     """chi'(G) and the criticality of G's edges at one node budget, each
     decided once.
 
-    `verdict` is G's ClassVerdict. The criticality questions assume G is
-    class 2, raise BudgetExceeded when G's chi' or a G - e decision is
-    undecided within the budget, and memoize their answer per edge; an
-    edge whose search ran out of budget is memoized as undecided (None)
-    and raises again without a second search.
+    `verdict` is G's ClassVerdict, built on first read. `class_two()`
+    decides the class without a witness, and the criticality questions
+    read it: they raise ValueError on a class-1 graph and BudgetExceeded
+    when the class or a G - e decision is undecided within the budget.
+    Each answer is memoized; a search that ran out of budget is memoized
+    as undecided (None) and raises again without a second search.
     """
 
-    __slots__ = ("graph", "budget", "node_budget", "verdict", "_critical")
+    __slots__ = ("graph", "budget", "node_budget", "_verdict", "_class_two",
+                 "_removal_mask", "_delta_critical", "_critical")
 
     def __init__(self, g: SimpleGraph, budget: Optional[int]):
         self.graph = g
         self.budget = budget  # as asked: the memo key of graph_facts
         # as resolved: the node budget of each search
         self.node_budget = node_budget_default() if budget is None else budget
-        self.verdict = chromatic_index(g, self.node_budget)
+        self._verdict: Optional[ClassVerdict] = None
+        # `_class_two` stays unset until class_two() is first asked
+        self._removal_mask: Optional[int] = None
+        self._delta_critical: Optional[bool] = None
         self._critical: dict[int, Optional[bool]] = {}
+
+    @property
+    def verdict(self) -> ClassVerdict:
+        if self._verdict is None:
+            self._verdict = chromatic_index(self.graph, self.node_budget)
+        return self._verdict
+
+    def _removal(self) -> int:
+        """`_overfull_removal(G)`, computed once: 0 when no proper subgraph
+        of G is certified overfull."""
+        if self._removal_mask is None:
+            self._removal_mask = _overfull_removal(self.graph)
+        return self._removal_mask
+
+    def class_two(self) -> bool:
+        """chi'(G) = Delta + 1. A built `verdict` answers; otherwise an
+        overfull G or `_removal()` says yes, and else `_colorable` decides
+        whether G is Delta-colorable, building no witness."""
+        if self._verdict is not None:
+            if self._verdict.status != "ok":
+                raise BudgetExceeded("base chromatic index undecided")
+            return self._verdict.cls == "two"
+        try:
+            two = self._class_two
+        except AttributeError:
+            g = self.graph
+            if not g.edges:
+                raise EmptyGraphError("class decision needs at least one edge")
+            self._class_two = None  # kept if the search runs out of budget
+            two = self._class_two = (
+                is_overfull(g) or bool(self._removal())
+                or _colorable(g, max(g.degrees()), self.node_budget)[0] is None
+            )
+        if two is None:
+            raise BudgetExceeded("class undecided")
+        return two
 
     def edge_critical(self, e: int) -> bool:
         """chi'(G - e) < chi'(G); for class-2 G, whether G - e is
         Delta-colorable."""
-        base = self.verdict
-        if base.status != "ok":
-            raise BudgetExceeded("base chromatic index undecided")
-        if base.cls != "two":
+        if not self.class_two():
             raise ValueError("criticality asked on a class-1 graph")
         known = self._critical
         if e not in known:
@@ -347,6 +390,8 @@ class GraphFacts:
             return True  # Delta(G - e) < Delta: Vizing's theorem colors it
         if len(g.edges) - 1 > prof.delta * (g.n // 2):
             return False  # G - e is overfull for Delta colors
+        if self._removal() & (1 << ends[0] | 1 << ends[1]):
+            return False  # G - e keeps the overfull G - T of `_removal()`
         rest = _colorable(delete_edge(g, e), prof.delta, self.node_budget)[0]
         if rest is None:
             return False
@@ -358,22 +403,27 @@ class GraphFacts:
 
     def critical_edges(self) -> list[int]:
         """Edge ids whose deletion lowers chi'. Empty for class-1 input."""
-        if self.verdict.cls == "one":
+        if not self.class_two():
             return []
         return [e for e in range(len(self.graph.edges)) if self.edge_critical(e)]
 
     def delta_critical(self) -> bool:
         """Every proper subgraph has a smaller chromatic index (class two).
 
-        Equivalent to: class two, every edge critical, and no isolated
-        vertex (removing an isolated vertex is a proper subgraph with
-        equal chi'). Stops at the first non-critical edge.
+        Equivalent to: no proper subgraph certified overfull by `_removal()`,
+        no isolated vertex (removing one is a proper subgraph with equal
+        chi'), class two, and every edge critical. Stops at the first
+        answer no.
         """
-        if self.verdict.cls == "one":
-            return False
-        if any(len(a) == 0 for a in self.graph.adjacency):
-            return False
-        return all(self.edge_critical(e) for e in range(len(self.graph.edges)))
+        if self._delta_critical is None:
+            g = self.graph
+            self._delta_critical = (
+                not self._removal()
+                and all(g.adjacency)
+                and self.class_two()
+                and all(self.edge_critical(e) for e in range(len(g.edges)))
+            )
+        return self._delta_critical
 
 
 def graph_facts(g: SimpleGraph, budget: Optional[int] = None) -> GraphFacts:
@@ -409,6 +459,39 @@ def is_overfull(g: SimpleGraph) -> bool:
         raise ValueError("overfullness needs n >= 2")
     delta = max(g.degrees())
     return len(g.edges) > delta * (g.n // 2)
+
+
+def _overfull_removal(g: SimpleGraph) -> int:
+    """The vertex mask of a set T whose removal leaves an overfull
+    subgraph, or 0 when the cheap test finds none.
+
+    T is one vertex for even n and two for odd n, so S = V - T has odd
+    order, at least 3. G[S] has e(S) = m - sum of d(t) over T + e(G[T])
+    edges; when that exceeds Delta(G) * (|S| - 1) / 2, no Delta(G) matchings
+    cover it, so chi'(G[S]) = Delta + 1 = chi'(G). Then G is class 2, G is
+    not critical, and no edge with an end in T is critical: G - e still
+    contains G[S]. T is the first that works, in vertex order.
+    """
+    n = g.n
+    s = n - 1 - n % 2
+    if s < 3:
+        return 0
+    degs = g.degrees()
+    # the most edges T may take away and leave G[S] overfull
+    spare = len(g.edges) - max(degs) * (s - 1) // 2 - 1
+    if n % 2 == 0:
+        for t in range(n):
+            if degs[t] <= spare:
+                return 1 << t
+        return 0
+    if 2 * min(degs) - 1 > spare:
+        return 0
+    adj = g.adj_mask
+    for t in range(n):
+        for u in range(t + 1, n):
+            if degs[t] + degs[u] - (adj[t] >> u & 1) <= spare:
+                return 1 << t | 1 << u
+    return 0
 
 
 def is_just_overfull(g: SimpleGraph) -> bool:

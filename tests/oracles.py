@@ -4,7 +4,8 @@ These deliberately avoid the package's code paths: the graph6 decoder
 works over an explicit bit string, the coloring counter and the
 coloring lister are plain recursive enumerators over sets, and the chromatic-index reference decides
 colorability without ordering heuristics, symmetry breaking, or
-overfullness shortcuts. The enumerator references are the unpruned
+overfullness shortcuts. The criticality reference asks chi'(G - e) of
+every edge in turn, with no certificate and no shift. The enumerator references are the unpruned
 augmentation loop over a certificate with tuple refinement signatures,
 and an automorphism counter that extends partial maps vertex by vertex.
 The Kempe-chain references are the closure-based walk that `chain_at` and
@@ -168,6 +169,24 @@ def chromatic_index_reference(n: int, edges: list[tuple[int, int]]) -> int:
         if colorable_reference(n, edges, k):
             return k
         k += 1
+
+
+def delta_critical_reference(g) -> bool:
+    """The edge-by-edge loop of `is_delta_critical` before the overfull
+    certificate, on the definition: chromatic_index says class two, no
+    vertex is isolated, and chi'(G - e) < chi'(G) for every edge e, each
+    from a fresh `chromatic_index` of G - e (no shift, no certificate,
+    no memo)."""
+    from fanforge.graphs import delete_edge
+    from fanforge.solver import chromatic_index
+
+    cv = chromatic_index(g)
+    if cv.cls != "two" or not all(g.adjacency):
+        return False
+    return all(
+        chromatic_index(delete_edge(g, e)).chi_prime < cv.chi_prime
+        for e in range(len(g.edges))
+    )
 
 
 def refine_reference(n: int, adj: Sequence[int], colors: list[int]) -> tuple[list[int], int]:

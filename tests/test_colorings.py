@@ -18,7 +18,6 @@ from fanforge.colorings import (
     StaleChainError,
     are_linked,
     chain_at,
-    double_swap_at,
     is_elementary,
     kempe_bfs,
     kempe_swap,
@@ -183,24 +182,6 @@ def test_are_linked_equals_the_reference_walk(graph_edge, data):
             for v in range(g.n):
                 assert _linked_or_raises(are_linked, phi, u, v, a, b) == \
                     _linked_or_raises(are_linked_reference, phi, u, v, a, b), (u, v)
-
-
-def test_double_swap_identity(c5_fixture):
-    g, phi = c5_fixture
-    out = double_swap_at(phi, 0, 1, 1, 2)
-    assert out.signature() == phi.signature()
-
-
-def test_double_swap_manual_trace():
-    # path 0-1-2 colored 2,1: at the middle vertex 3 is missing while 2
-    # and 1 are present, so a (3,2)-(2,1) double swap applies
-    g = path(3)
-    phi = PartialEdgeColoring.from_assignment(g, 3, [2, 1])
-    out = double_swap_at(phi, 1, 3, 2, 1)
-    assert out.validate()
-    # step one recolors edge 0-1 to 3; step two swaps the (2,1)-chain at 1
-    assert out.color_of(0) == 3
-    assert out.color_of(1) == 2
 
 
 def test_serialization_round_trip(c5_fixture):

@@ -9,7 +9,10 @@ that always passes would show here.
 Each case pins one class-1 input per verifier: a graph6 line, the
 uncolored edge, the orientation (r, s1) and a normal coloring of G - e.
 The swap verifiers run on the normalized fan, as the lemma suite runs
-them. A digest pins every verdict over the small coloring spaces of the
+them. `tau-witnesses` has no gate of its own: the lemma suite gates it
+and runs it on the normalized maximum fan, so its input coloring is the
+one the exhaustive maximum-fan search picks. A digest pins the verdicts
+of the five per-coloring verifiers over the small coloring spaces of the
 fixture graphs.
 """
 
@@ -27,16 +30,19 @@ from oracles import (
     _edge_with_color_reference,
     are_linked_reference,
     chain_at_reference,
+    colorings_reference,
     kempe_swap_reference,
     stability_class_reference,
 )
 from fanforge.colorings import PartialEdgeColoring, kempe_swap
 from fanforge.fans import (
     FanError,
+    at_least_stable,
     grow_kierstead_path,
     grow_multifan,
     inducing_map,
     normalize_typical,
+    search_maximum_multifan,
     stability_class,
     verify_fan_elementary,
     verify_fan_linkage,
@@ -45,7 +51,9 @@ from fanforge.fans import (
     verify_vf_stable_swaps,
 )
 from fanforge.graphs import degree_profile, from_graph6
+from fanforge.recolor import _REQUIRED_STABILITY, _post_pairs
 from fanforge.solver import ColoringSpace
+from fanforge.theorems import ScanConfig, _check_tau_witnesses, run_lemma_suite
 
 BYPASS = {"critical": True, "class_two": True}
 
@@ -75,11 +83,28 @@ CASES = {
         {"x": 1, "swap": [3, 4], "got": "none",
          "coloring": "4; 0=2,1=1,2=4,3=1,4=3,5=2,6=3,7=_,8=1,9=2,10=4,11=3"},
     ),
+    "tau-witnesses": (
+        "FcjQw", 4, 5, 1, "4; 0=1,1=2,2=3,3=4,4=_,5=2,6=2,7=1,8=4,9=1,10=3",
+        {"item": "v", "x": 4, "tau": 3,
+         "detail": {
+             "sequence": {"tau": 3, "vertices": [3], "type": "B", "terminal_color": 2},
+             "construction_error": "shift result improper: color 3 clashes at edge 10",
+             "reason": "construction failed and the bounded move space holds no witness",
+         },
+         "coloring": "4; 0=3,1=1,2=2,3=4,4=_,5=1,6=1,7=3,8=4,9=3,10=2"},
+    ),
 }
 
 
 def _verify(check, g, phi, r, s1, hyp):
     fan = grow_multifan(g, phi, r, s1)
+    if check == "tau-witnesses":
+        if not hyp:  # the lemma suite's gate
+            (verdict,) = run_lemma_suite(g, ScanConfig(), [check])[check]
+            return verdict
+        # phi carries a maximum fan (test_tau_witness_input_is_the_maximum_fan)
+        nf = normalize_typical(g, phi, fan)
+        return _check_tau_witnesses(g, nf.phi, nf.fan, "EXACT")
     if check == "fan-elementary":
         return verify_fan_elementary(g, phi, fan, **hyp)
     if check == "fan-linkage":
@@ -129,6 +154,26 @@ def test_failing_coloring_replays_and_shows_the_violation(check):
             assert _edge_with_color_reference(psi, v, clash["color"]) is None
     elif "part" in detail:
         assert not are_linked_reference(psi, detail["u"], detail["v"], *detail["colors"])
+    elif "item" in detail:
+        # no Delta-coloring of G - e, reachable or not, is a witness: none
+        # cuts x off s1's chain on a post-condition pair and keeps the
+        # normalized fan as stable as the item requires
+        fan = normalize_typical(g, psi, grow_multifan(g, psi, r, s1)).fan
+        assert normalize_typical(g, psi, fan).phi.to_line() == detail["coloring"]
+        item, x = detail["item"], detail["x"]
+        pairs = _post_pairs(item, detail["tau"], psi.k)
+        witnesses = 0
+        for colors in colorings_reference(g.n, list(g.edges), phi.uncolored, psi.k):
+            phi2 = PartialEdgeColoring.from_assignment(g, psi.k, colors, uncolored=phi.uncolored)
+            cut = any(
+                any(_edge_with_color_reference(phi2, s1, c) is None for c in pair)
+                and x not in chain_at_reference(phi2, s1, *pair).vertices
+                for pair in pairs
+            )
+            stable = at_least_stable(stability_class_reference(phi2, psi, fan),
+                                     _REQUIRED_STABILITY[item])
+            witnesses += cut and stable
+        assert witnesses == 0
     else:
         # the swap at x, replayed by the reference chain and swap, is not
         # as stable as the lemma claims
@@ -136,6 +181,15 @@ def test_failing_coloring_replays_and_shows_the_violation(check):
         chain = chain_at_reference(psi, detail["x"], *detail["swap"])
         after = kempe_swap_reference(psi, chain)
         assert stability_class_reference(after, psi, fan) == detail["got"]
+
+
+def test_tau_witness_input_is_the_maximum_fan():
+    # the exhaustive search over every coloring of G - e picks the input
+    line, e, r, s1, coloring, _ = CASES["tau-witnesses"]
+    g = from_graph6(line)
+    res = search_maximum_multifan(g, r, s1, "exhaustive", 10**4)
+    assert res.status == "EXACT"
+    assert res.phi.to_line() == coloring
 
 
 @functools.lru_cache(maxsize=None)

@@ -39,7 +39,10 @@ from oracles import (
     colorable_reference,
     colorings_reference,
     count_colorings_reference,
+    delta_critical_reference,
 )
+
+CRITICAL_N9 = Path(__file__).resolve().parent / "fixtures" / "critical_n1_9.g6"
 
 
 @pytest.mark.parametrize(
@@ -128,16 +131,14 @@ def test_criticality_needs_class_two():
         is_critical_edge(cycle(4), 0)
 
 
-def test_delta_criticality_stops_at_first_noncritical_edge(monkeypatch):
-    # Ecto is class 2 and its edges 0-4 are critical, edge 5 is not
-    first = next(
-        e for e in range(8) if not is_critical_edge(from_graph6("Ecto"), e)
-    )
-    assert first == 5
-    chi_calls = []
-    decided = []
+def count_decisions(monkeypatch):
+    """Lists that record, from here on, the graph of every chromatic_index
+    call, the edge of every G - e decision and the graph of every
+    `_colorable` search."""
+    chi_calls, decided, searched = [], [], []
     real_chi = solver.chromatic_index
     real_decide = solver.GraphFacts._deletion_colorable
+    real_colorable = solver._colorable
 
     def counting_chi(g, budget=None):
         chi_calls.append(g)
@@ -147,13 +148,129 @@ def test_delta_criticality_stops_at_first_noncritical_edge(monkeypatch):
         decided.append(e)
         return real_decide(facts, e)
 
+    def counting_colorable(g, k, budget):
+        searched.append(g)
+        return real_colorable(g, k, budget)
+
     monkeypatch.setattr(solver, "chromatic_index", counting_chi)
     monkeypatch.setattr(solver.GraphFacts, "_deletion_colorable", counting_decide)
-    assert not is_delta_critical(from_graph6("Ecto"))
-    assert len(chi_calls) == 1  # G only; each G - e is a Delta-decision
-    # edges 2 and 4 are settled by shifts from the colorings found for
-    # G - 1 and G - 3, so only edges 0, 1, 3 and 5 are asked
-    assert decided == [0, 1, 3, 5]
+    monkeypatch.setattr(solver, "_colorable", counting_colorable)
+    return chi_calls, decided, searched
+
+
+# the connected class-2 graphs of the n <= 7 fixture that are not critical
+# and have no proper subgraph that `_overfull_removal` certifies
+UNCERTIFIED_NONCRITICAL = ["D~{", "FRvn_", "F]qzo", "F}yzw", "F~~vw", "F~~~w"]
+# the fixture graphs where `_overfull_removal` fires
+CERTIFIED = ["Ecto", "Eevg", "E{xw", "F_r^O", "F`bIo", "F`rMg", "F`r^O", "FwfbW"]
+
+
+def test_delta_criticality_stops_at_first_noncritical_edge(monkeypatch):
+    # no edge of these graphs is critical, so only edge 0 is asked, and
+    # the class is decided without chromatic_index and its witness
+    graphs = [from_graph6(line) for line in UNCERTIFIED_NONCRITICAL]
+    for g in graphs:
+        assert solver._overfull_removal(g) == 0
+        assert not any(deletion_lowers_chi(g, e) for e in range(g.m()))
+    chi_calls, decided, _ = count_decisions(monkeypatch)
+    for line, g in zip(UNCERTIFIED_NONCRITICAL, graphs):
+        decided.clear()
+        assert not is_delta_critical(g)
+        assert decided == [0], line
+    assert len(chi_calls) == 0
+
+
+def test_a_proper_overfull_subgraph_answers_without_a_search(monkeypatch):
+    # Ecto is class 2, its edges 0-4 are critical and edge 5 is not;
+    # G - 2 is overfull, so no G - e decision and no search is needed
+    g = from_graph6("Ecto")
+    assert [deletion_lowers_chi(g, e) for e in range(6)] == [True] * 5 + [False]
+    assert solver._overfull_removal(g) == 1 << 2
+    chi_calls, decided, searched = count_decisions(monkeypatch)
+    assert not is_delta_critical(g)
+    assert (chi_calls, decided, searched) == ([], [], [])
+
+
+def test_class_two_equals_the_chromatic_index_class_over_the_fixture(fixture_lines):
+    graphs = 0
+    for line in fixture_lines:
+        g = from_graph6(line)
+        if g.edges:
+            # decided before `verdict` is read, so by the decision itself
+            facts = solver.GraphFacts(g, None)
+            assert facts.class_two() == (chromatic_index(g).cls == "two"), line
+            assert facts._verdict is None
+            graphs += 1
+    assert graphs == 995
+
+
+def test_delta_criticality_equals_the_edge_by_edge_loop_over_the_fixture(fixture_lines):
+    critical = 0
+    for line in fixture_lines:
+        g = from_graph6(line)
+        if g.edges:
+            want = delta_critical_reference(g)
+            assert is_delta_critical(g) == want, line
+            critical += want
+    # C3, C5, C7, K5 - e, K7 - e and the rest of the fixture's critical graphs
+    assert critical == sum(1 for line in CRITICAL_N9.read_text().split()
+                           if from_graph6(line).n <= 7)
+
+
+def test_overfull_removal_leaves_a_class_two_subgraph(fixture_lines):
+    # where the certificate fires, G - T needs Delta(G) + 1 colors by a
+    # brute-force search, so G is class 2 and not critical; and uncertified
+    # non-critical class-2 graphs are the six above
+    fired, uncertified = [], []
+    for line in fixture_lines:
+        g = from_graph6(line)
+        if g.n < 2 or not g.edges:
+            continue
+        t = solver._overfull_removal(g)
+        if t:
+            fired.append(line)
+            assert bin(t).count("1") == 1 + g.n % 2
+            rest = [(u, v) for u, v in g.edges if not (t >> u & 1 or t >> v & 1)]
+            assert chromatic_index_reference(g.n, rest) == degree_profile(g).delta + 1
+            assert chromatic_index(g).cls == "two"
+        elif g.is_connected() and chromatic_index(g).cls == "two" and not is_delta_critical(g):
+            uncertified.append(line)
+    assert fired == CERTIFIED
+    assert uncertified == UNCERTIFIED_NONCRITICAL
+
+
+def test_overfull_removal_fires_on_no_critical_graph():
+    lines = CRITICAL_N9.read_text().split()
+    assert len(lines) == 687
+    assert not any(solver._overfull_removal(from_graph6(line)) for line in lines)
+
+
+def test_edges_at_the_overfull_removal_are_answered_without_a_search(monkeypatch):
+    # an edge with an end in T is not critical: G - e keeps G - T; the
+    # answer agrees with the definition on every edge of every graph where
+    # the certificate fires
+    graphs = [from_graph6(line) for line in CERTIFIED]
+    want = [[deletion_lowers_chi(g, e) for e in range(g.m())] for g in graphs]
+    _, _, searched = count_decisions(monkeypatch)
+    for line, g, crit in zip(CERTIFIED, graphs, want):
+        t = solver._overfull_removal(g)
+        at_t = [e for e, (u, v) in enumerate(g.edges) if t >> u & 1 or t >> v & 1]
+        assert at_t
+        facts = solver.GraphFacts(g, None)
+        assert [facts.edge_critical(e) for e in at_t] == [False] * len(at_t), line
+        assert searched == [], line
+        assert [facts.edge_critical(e) for e in range(g.m())] == crit, line
+        searched.clear()
+
+
+def test_order_ten_graph_with_an_overfull_subgraph_is_decided_at_once(monkeypatch):
+    # chromatic_index spends minutes on this graph without an answer; its
+    # overfull G - v decides criticality with no search at all
+    g = from_graph6("Iuv]}~~Vo")
+    chi_calls, decided, searched = count_decisions(monkeypatch)
+    assert not is_delta_critical(g)
+    assert (chi_calls, decided, searched) == ([], [], [])
+    assert solver.graph_facts(g).class_two()
 
 
 @pytest.mark.parametrize(
