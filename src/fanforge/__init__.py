@@ -34,7 +34,6 @@ from .recolor import (
 from .solver import (
     ClassVerdict,
     chromatic_index,
-    enumerate_colorings,
     is_delta_critical,
     is_just_overfull,
     is_overfull,
@@ -74,7 +73,6 @@ __all__ = [
     "complete",
     "cycle",
     "degree_profile",
-    "enumerate_colorings",
     "from_graph6",
     "grow_kierstead_path",
     "grow_multifan",

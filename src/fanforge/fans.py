@@ -441,16 +441,19 @@ def search_maximum_multifan(
     """Largest |V(F)| over colorings of G - rs1; `budget` bounds the work.
 
     `space` is the coloring space of G - rs1 at Delta colors, built when
-    None. exhaustive: the first largest fan over `space.prefix(budget)`,
-    in enumeration order; EXACT when that prefix is the whole space, else
-    LOWER-BOUND. A space of at most `budget` colorings, counted by orbit
-    sums, is searched over its first-use normal colorings only: fan size
-    does not depend on color names, so the first largest fan sits on the
-    least member of an orbit, which is normal. reachability: BFS from the
+    None. exhaustive: the first largest fan over the first `budget`
+    colorings, in enumeration order; EXACT when they are the whole space,
+    else LOWER-BOUND. Fans grow only on the first-use normal colorings of
+    the orbits that prefix reaches: fan size does not depend on color
+    names, and an orbit's least member, its normal coloring, comes first
+    in enumeration order, so the first largest fan sits on a normal
+    coloring. A space of at most `budget` colorings, counted by orbit
+    sums, is the whole of `space.normal()`. reachability: BFS from the
     space's first coloring over single Kempe swaps touching the current
     fan's colors, at most `budget` expansions, states keyed exactly
     (`kempe_bfs`); always LOWER-BOUND. `explored` counts the colorings
-    examined (each normal one for its whole orbit) or the expansions made.
+    the normal ones stand for (the prefix, or the whole space) or the
+    expansions made.
 
     `stop_when_spanning` ends the reachability search at the first state
     whose fan holds s1 and every neighbor of r below maximum degree, the
@@ -471,8 +474,13 @@ def search_maximum_multifan(
         if whole:
             phis, explored = space.normal(), space.size()
         else:
-            phis = space.prefix(budget).colorings
-            explored = len(phis)
+            _, orbits, _ = space.raw_prefix(cap)
+            # each orbit's first member in the prefix is its normal coloring
+            firsts = {}
+            for i, orbit in enumerate(orbits):
+                firsts.setdefault(orbit, i)
+            phis = [space.coloring(i) for i in firsts.values()]
+            explored = len(orbits)
         if not phis:
             raise FanError("no colorings to search" if whole
                            else f"budget {budget} examines no coloring")
@@ -483,10 +491,9 @@ def search_maximum_multifan(
                 best_phi, best_fan = phi, fan
         return MaxFanResult(best_phi, best_fan, "EXACT" if whole else "LOWER-BOUND",
                             explored)
-    first = space.prefix(1).colorings
-    if not first:
+    if not space.raw_prefix(1)[0]:
         raise FanError("no colorings to search")
-    phi0 = first[0]
+    phi0 = space.coloring(0)
     best_fan = grow_multifan(g, phi0, r, s1)
     best_phi = phi0
     spanning = 1 + len({s1}.union(

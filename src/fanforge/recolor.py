@@ -328,37 +328,6 @@ def verify_rs1_linkage(
     return V.passed(name, taus=taus)
 
 
-# -- unlinking via shifting ----------------------------------------------------
-
-
-def unlink_via_shifting(
-    g: SimpleGraph,
-    phi: PartialEdgeColoring,
-    fan: Multifan,
-    tau: int,
-    star: int,
-    x: int,
-    y: int,
-) -> tuple[PartialEdgeColoring, Transcript]:
-    """Cut a (tau, star)-chain with endpoints x, y by shifting the
-    tau-sequence, whose first spoke edge lies on the chain. Eligible when
-    the sequence is a rotation or type B ending on color 1."""
-    ts = build_tau_sequence(g, phi, fan, tau)
-    if x in ts.vertices or y in ts.vertices:
-        raise ShiftIneligible("endpoints may not lie on the tau-sequence")
-    chain = phi.chain_at(x, tau, star)
-    if chain.kind != "path" or set(chain.endpoints()) != {x, y}:
-        raise ShiftIneligible(f"{x} and {y} are not endpoints of one (tau,*)-chain")
-    e1 = g.edge_id(fan.center, ts.vertices[0])
-    if e1 not in chain.edges:
-        raise ShiftIneligible("the first sequence edge is not on the chain")
-    phi2, step = apply_shifting(phi, fan, ts)
-    tr = Transcript([step])
-    if are_linked(phi2, x, y, tau, star):
-        raise ShiftIneligible("shift failed to unlink the endpoints")
-    return phi2, tr
-
-
 # -- constructive recoloring witnesses ------------------------------------------
 
 WITNESS_ITEMS = ("i", "ii", "iii", "iv", "v", "vi", "vii")

@@ -548,21 +548,6 @@ def parity_check(g: SimpleGraph, phi: PartialEdgeColoring) -> ParityReport:
 # -- exhaustive enumeration --------------------------------------------------
 
 
-@dataclass
-class ColoringEnumeration:
-    colorings: list[PartialEdgeColoring]
-    truncated: bool
-    # per coloring, the index of its color-renaming orbit: of its first-use
-    # normal form in the space's `normal()`
-    orbits: list[int]
-
-    def __iter__(self) -> Iterator[PartialEdgeColoring]:
-        return iter(self.colorings)
-
-    def __len__(self) -> int:
-        return len(self.colorings)
-
-
 def _working_delta(g: SimpleGraph, e: Optional[int]) -> int:
     """The maximum degree of G - e."""
     degs = list(g.degrees())
@@ -594,9 +579,10 @@ class ColoringSpace:
     prefix takes from. The merge state lives in attributes, and the merged
     prefix is kept, as far as the largest limit asked for, as color
     tuples with each one's orbit. A caller that reads only the orbits
-    builds no coloring: `coloring(i)` builds one member when it is read,
-    and `prefix` builds them all. An orbit's first member is its normal
-    coloring, the same object `normal()` gives.
+    builds no coloring: `coloring(i)` builds one member when it is read.
+    An orbit's first member is its normal coloring, the same object
+    `normal()` gives. So colorings leave a space two ways: `normal()`,
+    one per orbit, and `raw_prefix` with `coloring(i)`, one per member.
 
     The colorings are shared between callers and are read-only.
     """
@@ -710,24 +696,6 @@ class ColoringSpace:
                     self.graph, self.k, colors, uncolored=self.edge)
             self._built[i] = phi
         return phi
-
-    def prefix(self, limit: Optional[int] = None) -> ColoringEnumeration:
-        """The first `limit` colorings (all of them when None), with
-        `truncated` set when the space holds more."""
-        members, orbits, truncated = self.raw_prefix(limit)
-        return ColoringEnumeration(
-            [self.coloring(i) for i in range(len(members))], truncated, orbits)
-
-
-def enumerate_colorings(
-    g: SimpleGraph,
-    e: Optional[int],
-    k: int,
-    limit: Optional[int] = None,
-) -> ColoringEnumeration:
-    """The first `limit` proper k-edge-colorings of G - e (all when None),
-    lexicographic in (edge id, color); truncation is flagged."""
-    return ColoringSpace(g, e, k).prefix(limit)
 
 
 def count_colorings(g: SimpleGraph, e: Optional[int], k: int) -> int:

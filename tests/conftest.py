@@ -25,6 +25,13 @@ def graphs_with_edge(draw, max_edges=10, need_edge=False):
     return g, draw(edge if need_edge else st.one_of(st.none(), edge))
 
 
+def colorings_of(space, limit=None):
+    """The first `limit` colorings of a `ColoringSpace` (all when None),
+    read as the lemma suite reads them: `raw_prefix`, then `coloring(i)`."""
+    members, _, _ = space.raw_prefix(limit)
+    return [space.coloring(i) for i in range(len(members))]
+
+
 @pytest.fixture(scope="session")
 def fixture_lines() -> list[str]:
     return (FIXTURES / "connected_n1_7.g6").read_text().split()

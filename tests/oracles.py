@@ -12,13 +12,15 @@ The Kempe-chain references are the closure-based walk that `chain_at` and
 `chains` used before the flat by-color table, reading colors from the
 assignment alone, and a swap that repaints the whole coloring. The
 lemma-sample reference runs every per-coloring verifier on every sampled
-coloring, with no verdict reused across colorings. The stability
-reference decides whether V(F) still spans a multifan by the fixpoint
-loop `stability_class` used before the spoke-root walk.
+coloring, with no verdict reused across colorings, and the maximum-fan
+reference grows a fan on every listed coloring, not one per orbit. The
+stability reference decides whether V(F) still spans a multifan by the
+fixpoint loop `stability_class` used before the spoke-root walk.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from fanforge.colorings import (
@@ -138,6 +140,36 @@ def colorings_reference(
 
     rec(0)
     return out
+
+
+@lru_cache(maxsize=16)
+def _listed_colorings(n: int, edges: tuple, skip, k: int) -> list[list]:
+    # one listing serves every budget and orientation of a space
+    return colorings_reference(n, list(edges), skip, k)
+
+
+def max_fan_reference(g, r: int, s1: int, budget: int, k: Optional[int] = None):
+    """The exhaustive maximum-fan search as a plain loop: grow a fan on
+    every one of the first `budget` k-edge-colorings of G - rs1 (k = Delta
+    when None) that `colorings_reference` lists, and keep the first
+    largest. Returns (phi, fan, status, explored); phi and fan are None
+    when no coloring is examined, and status is EXACT when the budget
+    covers the whole space."""
+    from fanforge.fans import grow_multifan
+    from fanforge.graphs import degree_profile
+
+    k = degree_profile(g).delta if k is None else k
+    e = g.edge_id(r, s1)
+    every = _listed_colorings(g.n, tuple(g.edges), e, k)
+    examined = every[:max(budget, 0)]
+    best_phi = best_fan = None
+    for colors in examined:
+        phi = PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
+        fan = grow_multifan(g, phi, r, s1)
+        if best_fan is None or fan.size() > best_fan.size():
+            best_phi, best_fan = phi, fan
+    status = "EXACT" if len(examined) == len(every) else "LOWER-BOUND"
+    return best_phi, best_fan, status, len(examined)
 
 
 def colorable_reference(n: int, edges: list[tuple[int, int]], k: int) -> bool:

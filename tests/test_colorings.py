@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import graphs_with_edge, leaf_padded_gadget
+from conftest import colorings_of, graphs_with_edge, leaf_padded_gadget
 from hypothesis import given, settings, strategies as st
 from oracles import (
     are_linked_reference,
@@ -28,7 +28,7 @@ from fanforge.colorings import (
     validate,
 )
 from fanforge.graphs import SimpleGraph, complete, cycle, from_graph6, path
-from fanforge.solver import chromatic_index, enumerate_colorings
+from fanforge.solver import ColoringSpace, chromatic_index
 
 
 def test_validate_proper_path():
@@ -171,7 +171,7 @@ def test_are_linked_equals_the_reference_walk(graph_edge, data):
     g, e = graph_edge
     delta = max(g.degrees())
     k = max(delta + data.draw(st.integers(0, 1)), 2)  # two colors to pair
-    states = enumerate_colorings(g, e, k, 2).colorings
+    states = colorings_of(ColoringSpace(g, e, k), 2)
     if states:
         moves = list(swap_moves(states[0]))
         if moves:
@@ -198,7 +198,7 @@ def test_kempe_bfs_reaches_exactly_the_kempe_closure():
     # through the chain memo) over a signature set
     g = complete(5)
     e = g.edge_id(0, 1)
-    phi = enumerate_colorings(g, e, 5, 1).colorings[0]
+    phi = colorings_of(ColoringSpace(g, e, 5), 1)[0]
     closure = {phi.signature(): phi}
     stack = [phi]
     while stack:
@@ -377,7 +377,7 @@ def test_chain_kernel_equals_reference_on_random_graphs(g, data):
             # enumeration would have to exhaust its normal walk to show
             # it (K9 with k = 8 runs for more than a minute)
             continue
-        for phi in enumerate_colorings(g, e, k, 3):
+        for phi in colorings_of(ColoringSpace(g, e, k), 3):
             _assert_kernel_matches_reference(phi)
             _assert_cut_chains_rejected(phi)
             # and one state a swap away, off the lexicographic order
@@ -466,7 +466,7 @@ def test_chain_memo_equals_reference_along_swap_walks_from_enumerated_colorings(
     k = delta + data.draw(st.integers(0, 1))
     if len(g.edges) - 1 > k * (g.n // 2):
         return
-    states = enumerate_colorings(g, e, k, 3).colorings
+    states = colorings_of(ColoringSpace(g, e, k), 3)
     if states:
         _walk_checking_chain_memo(data.draw(st.sampled_from(states)), data)
 
@@ -502,7 +502,7 @@ def test_packed_keys_are_equal_exactly_when_signatures_are_equal():
     assert {psi.packed_key() for psi in states} == set(res.parents)
     k4 = complete(4)
     for e in (None, *range(len(k4.edges))):
-        states += enumerate_colorings(k4, e, 3 if e is None else 4)
+        states += colorings_of(ColoringSpace(k4, e, 3 if e is None else 4))
     sigs = {(psi.graph.n, psi.signature()) for psi in states}
     keys = {(psi.graph.n, psi.packed_key()) for psi in states}
     pairs = {(psi.graph.n, psi.signature(), psi.packed_key()) for psi in states}

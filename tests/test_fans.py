@@ -1,5 +1,5 @@
 import pytest
-from conftest import graphs_with_edge, leaf_padded_gadget
+from conftest import colorings_of, graphs_with_edge, leaf_padded_gadget
 from hypothesis import given, settings, strategies as st
 
 from fanforge.colorings import PartialEdgeColoring, kempe_swap
@@ -32,18 +32,14 @@ from fanforge.graphs import (
     petersen,
     star,
 )
-from fanforge.solver import (
-    ColoringSpace,
-    count_colorings,
-    enumerate_colorings,
-)
-from oracles import colorings_reference
+from fanforge.solver import ColoringSpace, count_colorings
+from oracles import max_fan_reference
 
 
 def k5e_instance():
     g = delete_edge(complete(5), 0)
     e = g.edge_id(2, 0)
-    phi = enumerate_colorings(g, e, 4, limit=1).colorings[0]
+    phi = colorings_of(ColoringSpace(g, e, 4), 1)[0]
     return g, phi
 
 
@@ -115,7 +111,7 @@ def test_verify_fan_linkage_c5(c5_fixture):
 def test_fan_lemmas_across_k5e_colorings():
     g = delete_edge(complete(5), 0)
     e = g.edge_id(2, 0)
-    for phi in enumerate_colorings(g, e, 4):
+    for phi in colorings_of(ColoringSpace(g, e, 4)):
         fan = grow_multifan(g, phi, 2, 0)
         assert verify_fan_elementary(g, phi, fan, critical=True, class_two=True).ok
         assert verify_fan_linkage(g, phi, fan, critical=True, class_two=True).ok
@@ -179,7 +175,7 @@ def test_search_maximum_k4_minus_edge():
     res = search_maximum_multifan(g, 2, 0, mode="exhaustive")
     assert res.status == "EXACT"
     best = 0
-    for phi in enumerate_colorings(g, g.edge_id(2, 0), 3):
+    for phi in colorings_of(ColoringSpace(g, g.edge_id(2, 0), 3)):
         best = max(best, grow_multifan(g, phi, 2, 0).size())
     assert res.fan.size() == best
 
@@ -195,39 +191,53 @@ def test_search_exhaustive_budget_bounds_the_colorings_examined(c5_fixture):
     assert res.status == "EXACT" and res.explored == 2
 
 
+def _assert_exhaustive_search_is_the_reference(g, e, k, budget):
+    for r, s1 in (g.edges[e], g.edges[e][::-1]):
+        phi, fan, status, explored = max_fan_reference(g, r, s1, budget, k)
+        try:
+            res = search_maximum_multifan(
+                g, r, s1, "exhaustive", budget, ColoringSpace(g, e, k)
+            )
+        except FanError as exc:
+            assert fan is None
+            assert str(exc) == ("no colorings to search" if status == "EXACT"
+                                else f"budget {budget} examines no coloring")
+            continue
+        assert res.phi.assignment == phi.assignment
+        assert res.fan.to_json() == fan.to_json()
+        assert (res.status, res.explored) == (status, explored)
+
+
 @settings(max_examples=80, deadline=None)
 @given(graphs_with_edge(max_edges=8, need_edge=True), st.data())
 def test_exhaustive_search_over_normal_colorings_equals_the_full_search(graph_edge, data):
-    # the reference: the first largest fan over every coloring, in
-    # enumeration order
+    # the reference: the first largest fan over every coloring of the
+    # prefix, in enumeration order
     g, e = graph_edge
     delta = max(g.degrees())
     for k in (delta, delta + 1):
-        if count_colorings(g, e, k) > 5000:
+        size = count_colorings(g, e, k)
+        if size > 5000:
             continue  # the reference materializes every coloring
-        full = [
-            PartialEdgeColoring.from_assignment(g, k, colors, uncolored=e)
-            for colors in colorings_reference(g.n, list(g.edges), e, k)
-        ]
-        below = data.draw(st.integers(1, max(len(full) - 1, 1)))
-        for r, s1 in (g.edges[e], g.edges[e][::-1]):
-            for budget in (below, len(full), len(full) + 1):
-                try:
-                    res = search_maximum_multifan(
-                        g, r, s1, "exhaustive", budget, ColoringSpace(g, e, k)
-                    )
-                except FanError as exc:
-                    assert not full and str(exc) == "no colorings to search"
-                    continue
-                best_phi = best_fan = None
-                for phi in full[:budget]:
-                    fan = grow_multifan(g, phi, r, s1)
-                    if best_fan is None or fan.size() > best_fan.size():
-                        best_phi, best_fan = phi, fan
-                assert res.phi.to_line() == best_phi.to_line()
-                assert res.fan.to_json() == best_fan.to_json()
-                assert res.status == ("EXACT" if budget >= len(full) else "LOWER-BOUND")
-                assert res.explored == min(budget, len(full))
+        below = data.draw(st.integers(1, max(size - 1, 1)))
+        for budget in (below, size, size + 1):
+            _assert_exhaustive_search_is_the_reference(g, e, k, budget)
+
+
+def test_truncated_exhaustive_search_equals_the_reference_on_fixtures(fixture_lines):
+    # every 12th fixture graph, every edge, Delta colors: budgets below the
+    # space size grow fans on the normal colorings of the orbits the
+    # prefix reaches, and must keep the fan, coloring and count of the
+    # loop over every member of the prefix
+    for line in fixture_lines[::12]:
+        g = from_graph6(line)
+        k = degree_profile(g).delta
+        for e in range(g.m()):
+            size = count_colorings(g, e, k)
+            if size > 400:
+                continue  # the reference materializes every coloring
+            for budget in sorted({0, 1, 2, 5, size // 3, size - 1, size, size + 7}):
+                _assert_exhaustive_search_is_the_reference(g, e, k, budget)
 
 
 def test_search_reachability_budget_zero(c5_fixture):
@@ -249,7 +259,7 @@ def test_stability_disjoint_swap_is_f_stable():
     e = 0
     u, v = g.endpoints(e)
     found = 0
-    for phi in enumerate_colorings(g, e, 3, limit=40).colorings:
+    for phi in colorings_of(ColoringSpace(g, e, 3), 40):
         fan = grow_multifan(g, phi, u, v)
         vs = set(fan.vertex_set())
         fan_edges = {g.edge_id(u, s) for s in fan.sequence}
@@ -273,7 +283,7 @@ def test_stability_none_label():
     fan = grow_multifan(g, phi, 2, 0)
     # recolor the whole palette in a way that wrecks s1's missing set
     other = None
-    for cand in enumerate_colorings(g, g.edge_id(2, 0), 4):
+    for cand in colorings_of(ColoringSpace(g, g.edge_id(2, 0), 4)):
         if cand.missing_at(0) != phi.missing_at(0):
             other = cand
             break
@@ -327,7 +337,7 @@ def test_kierstead_pass_when_gate_holds():
     for e in range(g.m()):
         u, v = g.endpoints(e)
         for r, s1 in ((u, v), (v, u)):
-            for phi in enumerate_colorings(g, e, 3, limit=4).colorings:
+            for phi in colorings_of(ColoringSpace(g, e, 3), 4):
                 kp = grow_kierstead_path(g, phi, r, s1, max_len=4)
                 if len(kp.vertices) != 4:
                     continue
@@ -357,7 +367,7 @@ def test_malformed_kierstead_path_is_not_a_kierstead_path(vertices, violation):
 def test_stable_swap_verifiers_on_k5e():
     g = delete_edge(complete(5), 0)
     e = g.edge_id(2, 0)
-    for phi in enumerate_colorings(g, e, 4, limit=12).colorings:
+    for phi in colorings_of(ColoringSpace(g, e, 4), 12):
         fan = grow_multifan(g, phi, 2, 0)
         nf = normalize_typical(g, phi, fan)
         assert verify_stable_swaps(

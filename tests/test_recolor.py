@@ -38,12 +38,10 @@ from fanforge.recolor import (
     shifting_kempe_equivalent,
     shifting_kind,
     tau_sequence_by_definition,
-    unlink_via_shifting,
     verify_rs1_linkage,
     witness_avoid_set,
     witness_tau_item,
 )
-from fanforge.solver import enumerate_colorings
 
 
 def normalized(g, phi, r=0, s1=1):
@@ -381,39 +379,6 @@ def test_witness_precondition_errors(type_b1):
         closed = set(g.adjacency[fan.center]) | {fan.center}
         x = next(xx for xx in range(g.n) if xx not in closed)
         witness_tau_item("i", g, phi, fan, x, 1)
-
-
-def test_unlink_via_shifting(type_ac):
-    g, phi, fan = type_ac
-    # tau=4 rotation starts at spoke v1; its r-edge lies on the (4,*)-chain
-    ts = build_tau_sequence(g, phi, fan, 4)
-    v1 = ts.vertices[0]
-    e1 = g.edge_id(fan.center, v1)
-    hit = None
-    for star in range(1, phi.k + 1):
-        if star == 4:
-            continue
-        ch = phi.chain_at(v1, 4, star)
-        if ch.kind != "path" or e1 not in ch.edges:
-            continue
-        a, b = ch.endpoints()
-        if a in ts.vertices or b in ts.vertices:
-            continue
-        hit = (star, a, b)
-        break
-    assert hit is not None, "gadget should expose an unlinkable chain"
-    star, x, y = hit
-    phi2, tr = unlink_via_shifting(g, phi, fan, 4, star, x, y)
-    from fanforge.colorings import are_linked
-
-    assert not are_linked(phi2, x, y, 4, star)
-    assert tr.replay(phi).signature() == phi2.signature()
-
-
-def test_unlink_rejects_unrelated_endpoints(type_ac):
-    g, phi, fan = type_ac
-    with pytest.raises(ShiftIneligible):
-        unlink_via_shifting(g, phi, fan, 4, 1, 0, 1)
 
 
 def test_shifting_kempe_equivalent_hook(type_b1):

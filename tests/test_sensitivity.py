@@ -6,8 +6,9 @@ bypassed (`critical=True, class_two=True`) the verifiers meet colorings
 that the lemmas say nothing about, and there they FAIL. So a verifier
 that always passes would show here.
 
-Each case pins one class-1 input per verifier: a graph6 line, the
-uncolored edge, the orientation (r, s1) and a normal coloring of G - e.
+Each case pins one class-1 input per verifier, and `fan-linkage` has
+one for part (b) and one for part (c): a graph6 line, the uncolored
+edge, the orientation (r, s1) and a normal coloring of G - e.
 The swap verifiers run on the normalized fan, as the lemma suite runs
 them. `tau-witnesses` has no gate of its own: the lemma suite gates it
 and runs it on the normalized maximum fan, so its input coloring is the
@@ -68,6 +69,12 @@ CASES = {
         {"part": "b", "u": 2, "v": 0, "colors": [3, 4],
          "coloring": "4; 0=1,1=2,2=3,3=2,4=4,5=1,6=4,7=_,8=2,9=1,10=3,11=4"},
     ),
+    # part (c) needs a space above 400 colorings: G - e holds 1,248
+    "fan-linkage-c": (
+        "G@LT]W", 9, 4, 6, "4; 0=1,1=2,2=3,3=4,4=4,5=2,6=3,7=1,8=2,9=_,10=3,11=4,12=1",
+        {"part": "c", "u": 6, "v": 3, "colors": [2, 3],
+         "coloring": "4; 0=1,1=2,2=3,3=4,4=4,5=2,6=3,7=1,8=2,9=_,10=3,11=4,12=1"},
+    ),
     "kierstead": (
         "CV", 0, 0, 2, "3; 0=_,1=1,2=2,3=3",
         {"clash": {"u": 0, "v": 2, "color": 2}, "degrees": [2, 2, 3, 1],
@@ -107,7 +114,7 @@ def _verify(check, g, phi, r, s1, hyp):
         return _check_tau_witnesses(g, nf.phi, nf.fan, "EXACT")
     if check == "fan-elementary":
         return verify_fan_elementary(g, phi, fan, **hyp)
-    if check == "fan-linkage":
+    if check.startswith("fan-linkage"):
         return verify_fan_linkage(g, phi, fan, **hyp)
     if check == "kierstead":
         kp = grow_kierstead_path(g, phi, r, s1, max_len=4)
@@ -154,6 +161,9 @@ def test_failing_coloring_replays_and_shows_the_violation(check):
             assert _edge_with_color_reference(psi, v, clash["color"]) is None
     elif "part" in detail:
         assert not are_linked_reference(psi, detail["u"], detail["v"], *detail["colors"])
+        if detail["part"] == "c":
+            # and r is off the later spoke's chain
+            assert r not in chain_at_reference(psi, detail["v"], *detail["colors"]).vertices
     elif "item" in detail:
         # no Delta-coloring of G - e, reachable or not, is a witness: none
         # cuts x off s1's chain on a post-condition pair and keeps the

@@ -2,7 +2,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
-from conftest import graphs_with_edge
+from conftest import colorings_of, graphs_with_edge
 from hypothesis import given, settings, strategies as st
 
 from fanforge import solver
@@ -25,7 +25,6 @@ from fanforge.solver import (
     chromatic_index,
     count_colorings,
     critical_edges,
-    enumerate_colorings,
     is_critical_edge,
     is_delta_critical,
     is_just_overfull,
@@ -551,8 +550,9 @@ def test_parity_requires_complete():
 
 
 def test_enumerate_c5_minus_edge():
-    en = enumerate_colorings(cycle(5), 0, 2)
-    assert len(en) == 2 and not en.truncated
+    space = ColoringSpace(cycle(5), 0, 2)
+    en = colorings_of(space)
+    assert len(en) == 2 and not space.raw_prefix()[2]
     for phi in en:
         assert phi.validate()
         assert phi.uncolored == 0
@@ -560,9 +560,9 @@ def test_enumerate_c5_minus_edge():
 
 def test_enumerate_single_edge_graph():
     g = SimpleGraph(2, [(0, 1)])
-    en = enumerate_colorings(g, 0, 1)
+    en = colorings_of(ColoringSpace(g, 0, 1))
     assert len(en) == 1
-    assert en.colorings[0].uncolored == 0
+    assert en[0].uncolored == 0
 
 
 def test_enumerate_count_matches_reference():
@@ -614,20 +614,19 @@ def test_prefix_from_orbits_equals_iter_colorings(graph_edge, data):
         for limits in ((None,), (below,), (above,), (below, None, below), (above, below)):
             space = ColoringSpace(g, e, k)
             for limit in limits:
-                en = space.prefix(limit)
+                colors, orbits, truncated = space.raw_prefix(limit)
+                en = colorings_of(space, limit)
                 assert [phi.assignment for phi in en] == full[:limit]
-                assert en.truncated == (limit is not None and len(full) > limit)
-                assert en.orbits == [
+                assert [list(c) for c in colors] == full[:limit]
+                assert truncated == (limit is not None and len(full) > limit)
+                assert orbits == [
                     normal.index(first_use_relabeling(phi.assignment)) for phi in en
                 ]
-                colors, orbits, truncated = space.raw_prefix(limit)
-                assert [list(c) for c in colors] == [list(phi.assignment) for phi in en]
-                assert (orbits, truncated) == (en.orbits, en.truncated)
             # an orbit's first member is the normal coloring itself
             built = space.normal()
-            for i, orbit in enumerate(en.orbits):
-                if orbit not in en.orbits[:i]:
-                    assert en.colorings[i] is built[orbit]
+            for i, orbit in enumerate(orbits):
+                if orbit not in orbits[:i]:
+                    assert space.coloring(i) is built[orbit]
 
 
 def test_raw_prefix_builds_no_coloring(monkeypatch):
@@ -679,13 +678,13 @@ def test_normal_leaves_are_one_per_color_renaming_orbit(g, e, k):
 
 
 def test_enumerate_truncation_flagged():
-    en = enumerate_colorings(complete(4), None, 4, limit=3)
-    assert en.truncated and len(en) == 3
+    colors, _, truncated = ColoringSpace(complete(4), None, 4).raw_prefix(3)
+    assert truncated and len(colors) == 3
 
 
 def test_enumerate_k_below_delta_rejected():
     with pytest.raises(ValueError):
-        enumerate_colorings(complete(4), None, 2)
+        ColoringSpace(complete(4), None, 2)
 
 
 @pytest.mark.parametrize(
@@ -703,24 +702,15 @@ def test_enumerate_k_below_delta_rejected():
 )
 def test_iter_colorings_matches_reference_order(g, e, k):
     # the enumeration order, from the merge of the orbits
-    mine = [phi.assignment for phi in enumerate_colorings(g, e, k)]
+    mine = [phi.assignment for phi in colorings_of(ColoringSpace(g, e, k))]
     assert mine == colorings_reference(g.n, list(g.edges), e, k)
 
 
 def test_iter_colorings_deep_path_has_no_recursion_limit():
     g = path(3001)  # 3,000 edges, far beyond the interpreter's recursion limit
-    phi = enumerate_colorings(g, None, 2, 1).colorings[0]
+    phi = colorings_of(ColoringSpace(g, None, 2), 1)[0]
     assert phi.assignment == [1 + i % 2 for i in range(3000)]
     assert phi.validate()
-
-
-def test_coloring_space_prefix_is_enumerate_colorings():
-    space = ColoringSpace(complete(4), 1, 3)
-    for limit in (5, 0, 1, 2, None, 3, 100):
-        a = space.prefix(limit)
-        b = enumerate_colorings(complete(4), 1, 3, limit)
-        assert [p.to_line() for p in a] == [p.to_line() for p in b]
-        assert a.truncated == b.truncated
 
 
 def test_coloring_space_is_lazy(monkeypatch):
@@ -737,18 +727,18 @@ def test_coloring_space_is_lazy(monkeypatch):
     monkeypatch.setattr(solver, "_backtrack", counting)
     space = ColoringSpace(petersen(), 0, 4)
     assert walked == []
-    en = space.prefix(3)
-    assert en.truncated and en.orbits == [0, 1, 2] and len(walked) == 3
-    space.prefix(2)
+    _, orbits, truncated = space.raw_prefix(3)
+    assert truncated and orbits == [0, 1, 2] and len(walked) == 3
+    space.raw_prefix(2)
     assert len(walked) == 3  # a shorter prefix reuses what is stored
-    en = space.prefix(60)
-    assert len(set(en.orbits)) == 32 and len(walked) == 33
+    _, orbits, _ = space.raw_prefix(60)
+    assert len(set(orbits)) == 32 and len(walked) == 33
     assert space.size(60) > 60 and len(walked) == 33
 
 
 def test_enumerate_deterministic_order():
-    a = [phi.to_line() for phi in enumerate_colorings(cycle(5), 0, 3, limit=20)]
-    b = [phi.to_line() for phi in enumerate_colorings(cycle(5), 0, 3, limit=20)]
+    a = [phi.to_line() for phi in colorings_of(ColoringSpace(cycle(5), 0, 3), 20)]
+    b = [phi.to_line() for phi in colorings_of(ColoringSpace(cycle(5), 0, 3), 20)]
     assert a == b
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import colorings_of
 from hypothesis import given, settings, strategies as st
 
 from fanforge import fans, graphs, solver, theorems
@@ -930,18 +931,19 @@ def test_prefix_orbits_are_the_renaming_classes():
         normal = [phi.to_line() for phi in solver.ColoringSpace(g, e, delta).normal()]
         space = solver.ColoringSpace(g, e, delta)
         for limit in (theorems.MAX_COLORINGS, theorems.ENUM_CAP):
-            sample = space.prefix(limit)
+            _, orbits, truncated = space.raw_prefix(limit)
+            sample = colorings_of(space, limit)
             # PM's spaces hold 18 or 42 colorings, Funjw's thousands
-            assert sample.truncated == (g is FUNJW or limit == theorems.MAX_COLORINGS)
-            assert len(sample.orbits) == len(sample.colorings)
-            for phi, orbit in zip(sample.colorings, sample.orbits):
+            assert truncated == (g is FUNJW or limit == theorems.MAX_COLORINGS)
+            assert len(orbits) == len(sample)
+            for phi, orbit in zip(sample, orbits):
                 names: dict = {}
                 for c in phi.assignment:
                     if c is not None:
                         names.setdefault(c, len(names) + 1)
                 assert _rename(phi, [names.get(c, 0) for c in range(1, phi.k + 1)]).to_line() \
                     == normal[orbit]
-        assert sample.orbits[:3] == space.prefix(3).orbits
+        assert orbits[:3] == space.raw_prefix(3)[1]
 
 
 @pytest.mark.parametrize("whole_orbit", [False, True])
@@ -951,10 +953,11 @@ def test_lemma_suite_never_copies_a_fail(monkeypatch, whole_orbit):
     # names its own coloring line, and no coloring takes a FAIL it did
     # not compute
     e = _critical_edges(to_graph6(PM))[0]
-    sample = solver.ColoringSpace(PM, e, 3).prefix(theorems.ENUM_CAP)
-    assert not sample.truncated
-    lines = [phi.to_line() for phi in sample.colorings]
-    members = [i for i, o in enumerate(sample.orbits) if o == sample.orbits[0]]
+    space = solver.ColoringSpace(PM, e, 3)
+    _, orbits, truncated = space.raw_prefix(theorems.ENUM_CAP)
+    assert not truncated
+    lines = [phi.to_line() for phi in colorings_of(space, theorems.ENUM_CAP)]
+    members = [i for i, o in enumerate(orbits) if o == orbits[0]]
     assert len(members) > 1
     failing = {lines[i] for i in (members if whole_orbit else members[:1])}
     r = PM.endpoints(e)[0]
@@ -1003,7 +1006,7 @@ def test_lemma_suite_verifier_calls_on_fbnn_are_pinned(monkeypatch):
     crit = _critical_edges("FBnn_")
     spaces = [solver.ColoringSpace(g, e, degree_profile(g).delta) for e in crit]
     assert len(crit) == 13 and sum(len(s.normal()) for s in spaces) == 74
-    sampled = 2 * sum(len(s.prefix(theorems.ENUM_CAP)) for s in spaces)
+    sampled = 2 * sum(len(s.raw_prefix(theorems.ENUM_CAP)[0]) for s in spaces)
     out = run_lemma_suite(g, ScanConfig(checks=PER_COLORING), PER_COLORING)
     assert {c: len(vs) for c, vs in out.items()} == dict.fromkeys(PER_COLORING, sampled)
     # 3,552 calls of each verifier without the memo, and 3,552 - 3,168
@@ -1036,8 +1039,9 @@ def test_lemma_suite_keys_fan_verdicts_by_the_fan_sequence(monkeypatch):
     g = from_graph6("FBnn_")
     orbit_of = {}
     for e in _critical_edges("FBnn_"):
-        sample = solver.ColoringSpace(g, e, degree_profile(g).delta).prefix(None)
-        for phi, orbit in zip(sample.colorings, sample.orbits):
+        space = solver.ColoringSpace(g, e, degree_profile(g).delta)
+        _, orbits, _ = space.raw_prefix()
+        for phi, orbit in zip(colorings_of(space), orbits):
             orbit_of[phi.to_line()] = orbit
     real = theorems.grow_multifan
     flip = itertools.count()
