@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -612,30 +613,42 @@ def kempe_bfs(
     moves: Callable[[PartialEdgeColoring], Iterable],
     budget: int,
     accept: Optional[Callable[[PartialEdgeColoring], bool]] = None,
-    goal: Optional[Callable[[PartialEdgeColoring, int, int, object], bool]] = None,
+    goal: Optional[Callable[[Callable[[], PartialEdgeColoring], int, int, object], bool]] = None,
 ) -> KempeSearch:
     """Breadth-first search from `start` over the moves `moves(state)` yields.
 
     A move is either a `Chain` of the state, applied by `kempe_swap`, or a
-    pair (step, neighbour) for any other recoloring. States are keyed by
-    their exact `packed_key()`; a swap neighbour's key is the state's key
-    XOR the chain's mask, (a ^ b) << (w * e) over its edges e, so a
-    neighbour is built only when its key is new. Each new state is tested
-    by `goal(state, key, parent_key, move)` (the search stops at the first
-    hit), then enters the frontier if `accept(state)` allows it. At most
-    `budget` states are expanded; `exhausted` is False only when the
-    budget ran out first.
+    pair (step, recolorings) for any other recoloring, where `recolorings`
+    lists (edge, new color) pairs applied in order to the state's colors.
+    States are keyed by their exact `packed_key()`, and a neighbour's key
+    comes from the state's key before the neighbour is built: a swap XORs
+    the chain's mask, (a ^ b) << (w * e) over its edges e, and a
+    recoloring rewrites the field of each listed edge. A neighbour whose
+    key is known is never built. A new recoloring neighbour is built and
+    validated at once, and dropped unseen when it is improper. A new swap
+    neighbour is built only when something reads it: the goal, `accept`,
+    or the search when it pops the neighbour for expansion. No neighbour
+    is built twice.
+
+    Each new state is tested by `goal(get, key, parent_key, move)`, where
+    `get()` returns the neighbour (the search stops at the first hit),
+    then enters the frontier if `accept(state)` allows it; `accept` reads
+    every state it is given. At most `budget` states are expanded;
+    `exhausted` is False only when the budget ran out first.
     """
     w = start.k.bit_length()
+    field = (1 << w) - 1
     units = [1 << (w * e) for e in range(len(start.assignment))]
     key = start.packed_key()
     parents: dict = {key: (None, None)}
-    frontier = deque([(start, key)])
+    # an entry is [state, None, None], or [None, parent, chain] until built
+    frontier = deque([([start, None, None], key)])
     expanded = 0
     while frontier:
         if expanded >= budget:
             return KempeSearch(parents, expanded, False)
-        state, key = frontier.popleft()
+        entry, key = frontier.popleft()
+        state = _built(entry)
         expanded += 1
         for move in moves(state):
             if isinstance(move, Chain):
@@ -644,15 +657,32 @@ def kempe_bfs(
                 nkey = key ^ (a ^ b) * sum(map(units.__getitem__, move.edges))
                 if nkey in parents:
                     continue
-                nxt = kempe_swap(state, move)
+                nxt = [None, state, move]
             else:
-                move, nxt = move
-                nkey = nxt.packed_key()
+                move, recolorings = move
+                nkey = key
+                for e, c in recolorings:
+                    nkey = nkey & ~(field * units[e]) | c * units[e]
                 if nkey in parents:
                     continue
+                colors = state.assignment.copy()
+                for e, c in recolorings:
+                    colors[e] = c
+                try:
+                    nxt = [PartialEdgeColoring.from_assignment(
+                        state.graph, state.k, colors, state.uncolored), None, None]
+                except ColoringError:
+                    continue
             parents[nkey] = (key, move)
-            if goal is not None and goal(nxt, nkey, key, move):
-                return KempeSearch(parents, expanded, True, nxt)
-            if accept is None or accept(nxt):
+            if goal is not None and goal(partial(_built, nxt), nkey, key, move):
+                return KempeSearch(parents, expanded, True, _built(nxt))
+            if accept is None or accept(_built(nxt)):
                 frontier.append((nxt, nkey))
     return KempeSearch(parents, expanded, True)
+
+
+def _built(entry: list) -> PartialEdgeColoring:
+    """The state of a search entry, swapped from its parent on first use."""
+    if entry[0] is None:
+        entry[0] = kempe_swap(entry[1], entry[2])
+    return entry[0]

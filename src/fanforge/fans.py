@@ -502,12 +502,13 @@ def search_maximum_multifan(
         return MaxFanResult(phi0, best_fan, "LOWER-BOUND", 0)
     position = 1  # of the next state generated; phi0 is at 0
 
-    def spans(phi, *_):
+    def spans(get, *_):
         # the full search expands only the states at positions < budget
         nonlocal best_fan, best_phi, position
         if position >= budget:
             return False
         position += 1
+        phi = get()
         fan = grow_multifan(g, phi, r, s1)
         if fan.size() < spanning:
             return False

@@ -151,6 +151,21 @@ def shift(
     """Recolor each spoke edge center-v to the color missing at v, all
     missing colors read before any change. Rejected atomically when the
     result would be improper; the input coloring is never touched."""
+    colors = list(phi.assignment)
+    for e, c in _shift_recolorings(phi, center, vertices):
+        colors[e] = c
+    try:
+        return PartialEdgeColoring.from_assignment(
+            phi.graph, phi.k, colors, uncolored=phi.uncolored
+        )
+    except Exception as exc:
+        raise ShiftIneligible(f"shift result improper: {exc}") from exc
+
+
+def _shift_recolorings(
+    phi: PartialEdgeColoring, center: int, vertices: Sequence[int]
+) -> list[tuple[int, int]]:
+    """The (edge, new color) pairs of `shift`, unchecked for properness."""
     g = phi.graph
     news = []
     for v in vertices:
@@ -160,15 +175,7 @@ def shift(
                 f"vertex {v} misses {len(ms)} colors; shifting needs exactly 1"
             )
         news.append((g.edge_id(center, v), ms[0]))
-    colors = list(phi.assignment)
-    for e, c in news:
-        colors[e] = c
-    try:
-        return PartialEdgeColoring.from_assignment(
-            g, phi.k, colors, uncolored=phi.uncolored
-        )
-    except Exception as exc:
-        raise ShiftIneligible(f"shift result improper: {exc}") from exc
+    return news
 
 
 # -- tau-sequences ------------------------------------------------------------
@@ -435,8 +442,9 @@ def _post_verdicts(
     `_post_pairs` and, at s1 and x, whether both colors of such a pair are
     present, a fact of the pair's subgraph. A swap on a pair that equals
     each of them or shares no color with it keeps all of that, so the new
-    state takes its parent's verdict instead of a new test. Items i and
-    ii read missing sets and are always tested.
+    state takes its parent's verdict instead of a new test, and the goal
+    leaves the state unbuilt. Items i and ii read missing sets and are
+    always tested.
     """
     pairs = _post_pairs(item, tau, delta)
     keeps = set()
@@ -448,11 +456,11 @@ def _post_verdicts(
         }
     post = {phi.packed_key(): _witness_post_ok(item, phi, fan, x, pairs)}
 
-    def post_ok(nxt: PartialEdgeColoring, key: int, parent: int, move) -> bool:
+    def post_ok(get, key: int, parent: int, move) -> bool:
         if isinstance(move, Chain) and move.colors in keeps:
             verdict = post[parent]
         else:
-            verdict = _witness_post_ok(item, nxt, fan, x, pairs)
+            verdict = _witness_post_ok(item, get(), fan, x, pairs)
         post[key] = verdict
         return verdict
 
@@ -670,7 +678,9 @@ def _search_witness(
 ) -> tuple[Optional[tuple[PartialEdgeColoring, Transcript]], bool]:
     """Breadth-first hunt over avoidance-respecting swaps plus eligible
     shiftings; returns (hit, exhausted). Stability is always measured
-    against the original coloring and fan."""
+    against the original coloring and fan. A shifting is handed to
+    `kempe_bfs` as its recolorings, so its child is built only when its
+    key is new."""
     want = _REQUIRED_STABILITY[item]
     pairs = [
         (a, b)
@@ -684,16 +694,16 @@ def _search_witness(
         yield from swap_moves(state, pairs)
         for step in shift_steps(state):
             try:
-                nxt = shift(state, step.center, step.vertices)
-            except (ShiftIneligible, TauError):
+                news = _shift_recolorings(state, step.center, step.vertices)
+            except ShiftIneligible:
                 continue
-            yield step, nxt
+            yield step, news
 
     post_ok = _post_verdicts(item, phi, fan, x, tau, delta)
 
-    def found(nxt: PartialEdgeColoring, key: int, parent: int, move) -> bool:
-        return post_ok(nxt, key, parent, move) and at_least_stable(
-            stability_class(nxt, phi, fan), want
+    def found(get, key: int, parent: int, move) -> bool:
+        return post_ok(get, key, parent, move) and at_least_stable(
+            stability_class(get(), phi, fan), want
         )
 
     res = kempe_bfs(phi, moves, budget, goal=found)
@@ -919,7 +929,7 @@ def shifting_kempe_equivalent(
         raise ValueError("target is colored from another palette")
     want = target.packed_key()
     res = kempe_bfs(
-        phi, swap_moves, budget, goal=lambda nxt, key, parent, move: key == want
+        phi, swap_moves, budget, goal=lambda get, key, parent, move: key == want
     )
     if res.hit is None:
         return None, res.exhausted

@@ -48,6 +48,16 @@ def c5_fixture():
     return g, phi
 
 
+# The witness-sweep gadget family (Delta 4-6, tau types A, B and C).
+WITNESS_FAMILY = [
+    (4, [(3, 1)]),
+    (4, [(3, 2)]),
+    (5, [(3, 4), (4, 3)]),
+    (5, [(3, 1), (4, 3)]),
+    (6, [(3, 4), (4, 3), (5, 3)]),
+]
+
+
 def leaf_padded_gadget(delta: int, spokes: list[tuple[int, int]]):
     """r=0 and s1=1 with the working edge uncolored; each (edge_color,
     missing_color) pair adds a (delta-1)-degree neighbor of r; the

@@ -11,6 +11,8 @@ and an automorphism counter that extends partial maps vertex by vertex.
 The Kempe-chain references are the closure-based walk that `chain_at` and
 `chains` used before the flat by-color table, reading colors from the
 assignment alone, and a swap that repaints the whole coloring. The
+Kempe-move search reference is the eager breadth-first loop that builds
+every neighbour, by that repainting swap, before it looks up its key. The
 lemma-sample reference runs every per-coloring verifier on every sampled
 coloring, with no verdict reused across colorings, and the maximum-fan
 reference grows a fan on every listed coloring, not one per orbit. The
@@ -439,6 +441,42 @@ def kempe_swap_reference(phi, chain):
     return PartialEdgeColoring.from_assignment(
         phi.graph, phi.k, colors, uncolored=phi.uncolored
     )
+
+
+def kempe_bfs_reference(start, moves, budget, accept=None, goal=None):
+    """Breadth-first search over `moves(state)`, every neighbour built first.
+
+    A move is a `Chain` of the state, swapped by `kempe_swap_reference`, or
+    a pair (step, neighbour) with the neighbour already built. States are
+    keyed by `packed_key()` of the built neighbour. `goal(state, key,
+    parent key, move)` and `accept(state)` read the neighbour itself.
+    Returns (parents, expanded, exhausted, hit) as `KempeSearch` holds
+    them."""
+    from collections import deque
+
+    key = start.packed_key()
+    parents = {key: (None, None)}
+    frontier = deque([(start, key)])
+    expanded = 0
+    while frontier:
+        if expanded >= budget:
+            return parents, expanded, False, None
+        state, key = frontier.popleft()
+        expanded += 1
+        for move in moves(state):
+            if isinstance(move, Chain):
+                nxt = kempe_swap_reference(state, move)
+            else:
+                move, nxt = move
+            nkey = nxt.packed_key()
+            if nkey in parents:
+                continue
+            parents[nkey] = (key, move)
+            if goal is not None and goal(nxt, nkey, key, move):
+                return parents, expanded, True, nxt
+            if accept is None or accept(nxt):
+                frontier.append((nxt, nkey))
+    return parents, expanded, True, None
 
 
 def stability_class_reference(phi2, phi, fan) -> str:

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from conftest import colorings_of, graphs_with_edge, leaf_padded_gadget
@@ -7,6 +8,7 @@ from oracles import (
     are_linked_reference,
     chain_at_reference,
     chains_reference,
+    kempe_bfs_reference,
     kempe_swap_reference,
 )
 
@@ -27,8 +29,11 @@ from fanforge.colorings import (
     swap_moves,
     validate,
 )
-from fanforge.graphs import SimpleGraph, complete, cycle, from_graph6, path
+from fanforge.fans import grow_multifan, stability_class
+from fanforge.graphs import SimpleGraph, complete, cycle, degree_profile, from_graph6, path
 from fanforge.solver import ColoringSpace, chromatic_index
+
+CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "class2_n7.g6"
 
 
 def test_validate_proper_path():
@@ -486,6 +491,99 @@ def test_chain_memo_lists_a_cycle_from_its_lowest_vertex():
     assert cyc.kind == "cycle" and cyc.vertices == (0, 1, 2, 3)
     for a, b in ((1, 2), (1, 3), (2, 3)):
         assert child.chains(a, b) == chains_reference(child, a, b)
+
+
+def _same_search(res, ref):
+    parents, expanded, exhausted, hit = ref
+    assert res.parents == parents
+    assert (res.expanded, res.exhausted) == (expanded, exhausted)
+    assert (res.hit is None) == (hit is None)
+    if hit is not None:
+        assert res.hit.packed_key() == hit.packed_key()
+
+
+def test_kempe_bfs_equals_the_eager_search_over_corpus_colorings():
+    # from the first coloring of G - e, e the first edge with one, of every
+    # second corpus graph that has one: a goal that reads every second
+    # state it is offered, a goal that reads keys alone, and an accept
+    # that reads every state
+    budget = 60
+    searched = 0
+    for line in CLASS2_N7.read_text().split()[::2]:
+        g = from_graph6(line)
+        delta = degree_profile(g).delta
+        first = next(((e, space[0]) for e in range(g.m())
+                      if (space := colorings_of(ColoringSpace(g, e, delta), 1))), None)
+        if first is None:
+            continue
+        e, phi = first
+        r, s1 = g.edges[e]
+        searched += 1
+        fan = grow_multifan(g, phi, r, s1)
+
+        def larger(state):
+            return grow_multifan(g, state, r, s1).size() > fan.size()
+
+        calls, ref_calls = [], []
+
+        def lazy(get, key, parent, move):
+            calls.append((key, parent, move))
+            return len(calls) % 2 == 0 and larger(get())
+
+        def eager(state, key, parent, move):
+            ref_calls.append((key, parent, move))
+            return len(ref_calls) % 2 == 0 and larger(state)
+
+        _same_search(kempe_bfs(phi, swap_moves, budget, goal=lazy),
+                     kempe_bfs_reference(phi, swap_moves, budget, goal=eager))
+        assert calls == ref_calls
+
+        reached = list(kempe_bfs_reference(phi, swap_moves, budget)[0])
+        for want in (reached[len(reached) // 2], -1):
+            calls.clear()
+            ref_calls.clear()
+            _same_search(
+                kempe_bfs(phi, swap_moves, budget,
+                          goal=lambda get, key, *move: calls.append(key) or key == want),
+                kempe_bfs_reference(phi, swap_moves, budget,
+                                    goal=lambda state, key, *move: ref_calls.append(key) or key == want),
+            )
+            assert calls == ref_calls
+
+        accepted, ref_accepted = [], []
+
+        def frozen(state, out):
+            out.append(state.packed_key())
+            return stability_class(state, phi, fan) == "F-stable"
+
+        _same_search(
+            kempe_bfs(phi, swap_moves, budget, accept=lambda state: frozen(state, accepted)),
+            kempe_bfs_reference(phi, swap_moves, budget,
+                                accept=lambda state: frozen(state, ref_accepted)),
+        )
+        assert accepted == ref_accepted
+    assert searched == 15
+
+
+def test_kempe_bfs_drops_an_improper_recoloring_unseen():
+    # a recoloring is keyed before it is built: a known key is dropped,
+    # and a new key whose coloring is improper enters neither `parents`
+    # nor the goal
+    g, phi = leaf_padded_gadget(4, [(3, 1)])
+    e, f = (g.edge_id(0, v) for v in g.adjacency[0][1:3])
+
+    def moves(state):
+        yield "clash", [(e, state.assignment[f])]
+        yield "fill", [(state.uncolored, 1)]
+        yield "same", [(e, state.assignment[e])]
+        yield from swap_moves(state, [(1, 2), (2, 3)])
+
+    read = []
+    res = kempe_bfs(phi, moves, 6, goal=lambda get, key, parent, move: read.append(move))
+    assert all(isinstance(move, Chain) for move in read)
+    assert len(read) == len(res.parents) - 1
+    swaps = kempe_bfs(phi, lambda state: swap_moves(state, [(1, 2), (2, 3)]), 6)
+    assert res.parents == swaps.parents
 
 
 def test_packed_keys_are_equal_exactly_when_signatures_are_equal():

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from conftest import leaf_padded_gadget
-from oracles import chains_reference
-from fanforge.colorings import PartialEdgeColoring, kempe_bfs, kempe_swap, swap_moves
-from fanforge.fans import grow_multifan, normalize_typical, stability_class
+from conftest import WITNESS_FAMILY, leaf_padded_gadget
+from oracles import chains_reference, kempe_bfs_reference
+from fanforge import colorings, recolor
+from fanforge.colorings import Chain, PartialEdgeColoring, kempe_bfs, kempe_swap, swap_moves
+from fanforge.fans import at_least_stable, grow_multifan, normalize_typical, stability_class
 from fanforge.graphs import (
     complete,
     cycle,
@@ -15,7 +16,10 @@ from fanforge.graphs import (
     light_vertices,
 )
 from fanforge.recolor import (
+    _REQUIRED_STABILITY,
     _eligible_shift_steps,
+    _search_witness,
+    _shift_recolorings,
     _shift_steps_around,
     _post_pairs,
     _post_verdicts,
@@ -555,9 +559,9 @@ def test_post_verdicts_equal_a_fresh_test_on_every_state(delta, spokes):
             for item in ("iii", "iv", "v", "vi", "vii"):
                 verdicts = _post_verdicts(item, phi, fan, x, tau, delta)
 
-                def goal(nxt, key, parent, move):
-                    fresh = _witness_post_ok(item, nxt, fan, x, _post_pairs(item, tau, delta))
-                    assert verdicts(nxt, key, parent, move) == fresh
+                def goal(get, key, parent, move):
+                    fresh = _witness_post_ok(item, get(), fan, x, _post_pairs(item, tau, delta))
+                    assert verdicts(get, key, parent, move) == fresh
                     return False
 
                 kempe_bfs(phi, swap_moves, budget=12, goal=goal)
@@ -585,14 +589,214 @@ def test_shift_steps_around_the_center_equal_fresh_ones(type_ac):
     def moves(state):
         yield from swap_moves(state)
         for step in steps(state):
-            yield step, shift(state, step.center, step.vertices)
+            yield step, _shift_recolorings(state, step.center, step.vertices)
 
     checked = []
 
-    def goal(nxt, key, parent, move):
+    def goal(get, key, parent, move):
+        nxt = get()
         assert steps(nxt) == _eligible_shift_steps(g, nxt, fan)
         checked.append(isinstance(move, ShiftStep))
         return False
 
     kempe_bfs(phi, moves, budget=60, goal=goal)
     assert True in checked and False in checked
+
+
+def _witness_inputs(delta, spokes):
+    """The gadget, its normalized fan and every (item, x, tau) the
+    witness sweep checks on it."""
+    g, phi = leaf_padded_gadget(delta, spokes)
+    phi, fan = normalized(g, phi)
+    fanmiss = fan_missing_union(phi, fan)
+    closed = set(g.adjacency[fan.center]) | {fan.center}
+    calls = []
+    for tau in range(1, phi.k + 1):
+        if tau in fanmiss:
+            continue
+        for x in range(g.n):
+            if x in closed or not (phi.misses(x, tau) or phi.misses(x, delta)):
+                continue
+            for item in WITNESS_ITEMS:
+                if item in ("i", "ii", "vii") and not phi.misses(x, tau):
+                    continue
+                calls.append((item, x, tau))
+    return g, phi, fan, calls
+
+
+def _recorded_searches(monkeypatch):
+    """Patch the searches of `recolor` to keep, per call, its start, moves,
+    result and goal calls (key, parent key, move, verdict)."""
+    runs = []
+    real = recolor.kempe_bfs
+
+    def recording(start, moves, budget, accept=None, goal=None):
+        calls = []
+
+        def noted(get, key, parent, move):
+            hit = goal(get, key, parent, move)
+            calls.append((key, parent, move, hit))
+            return hit
+
+        res = real(start, moves, budget, accept, noted)
+        runs.append((start, moves, res, calls))
+        return res
+
+    monkeypatch.setattr(recolor, "kempe_bfs", recording)
+    return runs
+
+
+def _eager(moves):
+    """The moves of a witness search as the eager search took them: each
+    shifting built by `shift`, and skipped when it raises."""
+    def out(state):
+        for move in moves(state):
+            if isinstance(move, Chain):
+                yield move
+                continue
+            step, _ = move
+            try:
+                yield step, shift(state, step.center, step.vertices)
+            except ShiftIneligible:
+                continue
+    return out
+
+
+def _assert_same_search(res, calls, ref, ref_calls):
+    parents, expanded, exhausted, hit = ref
+    assert res.parents == parents
+    assert (res.expanded, res.exhausted) == (expanded, exhausted)
+    assert (res.hit is None) == (hit is None)
+    if hit is not None:
+        assert res.hit.packed_key() == hit.packed_key()
+    assert calls == ref_calls
+
+
+@pytest.mark.parametrize("delta,spokes", WITNESS_FAMILY)
+def test_searches_equal_the_eager_search(monkeypatch, delta, spokes):
+    # the witness goal reads a state only when its verdict cannot be
+    # inherited or is true, and the shifting goal reads keys alone; the
+    # eager search builds every neighbour and tests each one afresh
+    g, phi, fan, items = _witness_inputs(delta, spokes)
+    runs = _recorded_searches(monkeypatch)
+    budget = 200
+    for item, x, tau in items:
+        runs.clear()
+        avoid = witness_avoid_set(item, tau, delta)
+        _search_witness(item, g, phi, fan, x, tau, delta, avoid, budget)
+        ((start, moves, res, calls),) = runs
+        pairs = _post_pairs(item, tau, delta)
+        want = _REQUIRED_STABILITY[item]
+        ref_calls = []
+
+        def fresh(state, key, parent, move):
+            hit = _witness_post_ok(item, state, fan, x, pairs) and at_least_stable(
+                stability_class(state, phi, fan), want)
+            ref_calls.append((key, parent, move, hit))
+            return hit
+
+        ref = kempe_bfs_reference(start, _eager(moves), budget, goal=fresh)
+        _assert_same_search(res, calls, ref, ref_calls)
+    for target, budget in _equivalence_targets(g, phi, fan):
+        runs.clear()
+        shifting_kempe_equivalent(phi, target, budget=budget)
+        ((start, moves, res, calls),) = runs
+        want = target.packed_key()
+        ref_calls = []
+
+        def same(state, key, parent, move):
+            ref_calls.append((key, parent, move, key == want))
+            return key == want
+
+        ref = kempe_bfs_reference(start, moves, budget, goal=same)
+        _assert_same_search(res, calls, ref, ref_calls)
+
+
+def _equivalence_targets(g, phi, fan):
+    """(target, budget) for `shifting_kempe_equivalent` from phi: every
+    shifting of phi, and phi with colors 1 and 2 interchanged, which the
+    small budget does not reach."""
+    out = []
+    for ts in all_tau_sequences(g, phi, fan):
+        if shifting_kind(ts, phi) is not None:
+            out.append((apply_shifting(phi, fan, ts)[0], 200))
+    out.append((relabel(phi, {1: 2, 2: 1}), 3))
+    return out
+
+
+def _counted_swaps(monkeypatch):
+    """Patch `kempe_swap` to keep the key of every coloring it builds."""
+    built = []
+    real = colorings.kempe_swap
+
+    def counting(phi, chain):
+        out = real(phi, chain)
+        built.append(out.packed_key())
+        return out
+
+    monkeypatch.setattr(colorings, "kempe_swap", counting)
+    return built
+
+
+@pytest.mark.parametrize("delta,spokes", WITNESS_FAMILY)
+def test_searches_build_a_neighbour_only_when_read(monkeypatch, delta, spokes):
+    g, phi, fan, items = _witness_inputs(delta, spokes)
+    runs = _recorded_searches(monkeypatch)
+    built = _counted_swaps(monkeypatch)
+    # the shifting search reads only keys: it builds the states it expands
+    # past the start, and the hit it returns
+    for target, budget in _equivalence_targets(g, phi, fan):
+        runs.clear()
+        built.clear()
+        shifting_kempe_equivalent(phi, target, budget=budget)
+        ((_, _, res, _),) = runs
+        assert len(built) == res.expanded - 1 + (res.hit is not None)
+        assert len(set(built)) == len(built)
+    # a witness search builds no neighbour twice, and only states it reached
+    for item, x, tau in items:
+        runs.clear()
+        built.clear()
+        avoid = witness_avoid_set(item, tau, delta)
+        _search_witness(item, g, phi, fan, x, tau, delta, avoid, 200)
+        ((_, _, res, _),) = runs
+        assert len(set(built)) == len(built) <= len(res.parents) - 1
+        assert set(built) <= set(res.parents)
+
+
+@pytest.mark.parametrize("delta,spokes", WITNESS_FAMILY)
+def test_shift_keys_derived_from_the_parent_equal_built_ones(monkeypatch, delta, spokes):
+    g, phi, fan, items = _witness_inputs(delta, spokes)
+    runs = _recorded_searches(monkeypatch)
+    shifts = 0
+    for item, x, tau in items:
+        runs.clear()
+        avoid = witness_avoid_set(item, tau, delta)
+        _search_witness(item, g, phi, fan, x, tau, delta, avoid, 200)
+        ((start, moves, res, _),) = runs
+        # every state reached, rebuilt from its parent in the order reached
+        states = {}
+        for key, (parent, move) in res.parents.items():
+            if move is None:
+                states[key] = start
+            elif isinstance(move, Chain):
+                states[key] = kempe_swap(states[parent], move)
+            else:
+                states[key] = shift(states[parent], move.center, move.vertices)
+            assert states[key].packed_key() == key
+        entered = set(res.parents.values())
+        # a hit can end the last expansion before its last move
+        done = list(res.parents)[:res.expanded - (res.hit is not None)]
+        for pkey in done:
+            state = states[pkey]
+            for move in moves(state):
+                if isinstance(move, Chain):
+                    continue
+                step, _ = move
+                shifts += 1
+                try:
+                    nkey = shift(state, step.center, step.vertices).packed_key()
+                except ShiftIneligible:
+                    assert (pkey, step) not in entered
+                    continue
+                assert nkey in res.parents
+    assert shifts
