@@ -15,7 +15,7 @@ from typing import Optional
 
 from .fans import (
     FanError,
-    fan_missing_union,
+    eligible_colors,
     inducing_map,
     normalize_typical,
     search_maximum_multifan,
@@ -32,7 +32,6 @@ from .graphs import (
 from .recolor import (
     MaximalityViolation,
     TauError,
-    all_tau_sequences,
     build_tau_sequence,
     shifting_kind,
     verify_rs1_linkage,
@@ -229,19 +228,28 @@ def cmd_fan(args) -> int:
     out["tau_sequences"] = []
     try:
         nf = normalize_typical(g, phi, fan)
+    except FanError as exc:
+        out["typical"] = None
+        out["note"] = f"not normalizable: {exc}"
+    else:
         phi, fan = nf.phi, nf.fan
         out["typical"] = fan.to_json()
         out["typical_coloring"] = phi.to_line()
         out["inducing_map"] = inducing_map(g, phi, fan).to_json()
-        seqs = []
-        for ts in all_tau_sequences(g, phi, fan):
+        # each tau on its own, as `tau` builds them: one that raises is
+        # reported and the others are kept
+        errors = []
+        for tau in eligible_colors(phi, fan):
+            try:
+                ts = build_tau_sequence(g, phi, fan, tau)
+            except (TauError, MaximalityViolation) as exc:
+                errors.append({"tau": tau, "error": str(exc)})
+                continue
             d = ts.to_json()
             d["shifting"] = shifting_kind(ts, phi)
-            seqs.append(d)
-        out["tau_sequences"] = seqs
-    except (FanError, TauError, MaximalityViolation) as exc:
-        out["typical"] = None
-        out["note"] = f"not normalizable: {exc}"
+            out["tau_sequences"].append(d)
+        if errors:
+            out["tau_errors"] = errors
     out["rs1_linkage"] = verify_rs1_linkage(
         g, phi, fan, maximum_status=res.status
     ).to_json()
@@ -272,12 +280,7 @@ def cmd_tau(args) -> int:
     if args.color is not None and not 1 <= args.color <= phi.k:
         print(f"--color must be in [1,{phi.k}], got {args.color}", file=sys.stderr)
         return OP_ERROR
-    fanmiss = fan_missing_union(phi, fan)
-    taus = (
-        [args.color]
-        if args.color is not None
-        else [t for t in range(1, phi.k + 1) if t not in fanmiss]
-    )
+    taus = [args.color] if args.color is not None else eligible_colors(phi, fan)
     out = {
         "graph6": to_graph6(g),
         "edge": [r, s1],

@@ -172,10 +172,6 @@ class PartialEdgeColoring:
         """The set of colors absent at v (the uncolored edge contributes nothing)."""
         return _mask_to_colors(self.missing[v])
 
-    def present_at(self, v: int) -> tuple[int, ...]:
-        full = (1 << self.k) - 1
-        return _mask_to_colors(full & ~self.missing[v])
-
     def misses(self, v: int, c: int) -> bool:
         return bool(self.missing[v] >> (c - 1) & 1)
 
@@ -462,29 +458,6 @@ def _integer(field: str, what: str) -> int:
         return int(field)
     except ValueError:
         raise ColoringError(f"{what} {field.strip()!r} is not an integer") from None
-
-
-# -- the operations of the module's public surface -------------------------
-
-
-def validate(phi: PartialEdgeColoring) -> bool:
-    return phi.validate()
-
-
-def missing(phi: PartialEdgeColoring, v: int) -> tuple[int, ...]:
-    return phi.missing_at(v)
-
-
-def present(phi: PartialEdgeColoring, v: int) -> tuple[int, ...]:
-    return phi.present_at(v)
-
-
-def is_elementary(phi: PartialEdgeColoring, vertices: Iterable[int]) -> bool:
-    return phi.is_elementary(vertices)
-
-
-def chain_at(phi: PartialEdgeColoring, v: int, a: int, b: int) -> Chain:
-    return phi.chain_at(v, a, b)
 
 
 def kempe_swap(phi: PartialEdgeColoring, chain: Chain) -> PartialEdgeColoring:

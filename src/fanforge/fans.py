@@ -30,7 +30,7 @@ from .colorings import (
     swap_moves,
 )
 from .graphs import SimpleGraph, degree_profile, incident, light_vertices
-from .solver import BudgetExceeded, ColoringSpace, graph_facts
+from .solver import ColoringSpace
 
 
 class FanError(ValueError):
@@ -91,6 +91,15 @@ def fan_missing_union(phi: PartialEdgeColoring, fan: Multifan) -> set[int]:
     for v in fan.vertex_set():
         out.update(phi.missing_at(v))
     return out
+
+
+def eligible_colors(phi: PartialEdgeColoring, fan: Multifan) -> list[int]:
+    """The colors tau outside the fan's missing set, ascending: the colors
+    a tau-sequence starts from."""
+    covered = 0
+    for v in fan.vertex_set():
+        covered |= phi.missing[v]
+    return [t for t in range(1, phi.k + 1) if not covered >> (t - 1) & 1]
 
 
 @dataclass
@@ -672,18 +681,11 @@ def check_kierstead_path(
 
 
 def verify_fan_elementary(
-    g: SimpleGraph,
-    phi: PartialEdgeColoring,
-    fan: Multifan,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
+    g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
 ) -> V.Verdict:
-    """The fan's vertex set must be elementary whenever the uncolored edge
-    is critical in a class-2 graph."""
+    """The fan's vertex set is elementary. Assumes the uncolored edge is
+    critical in a class-2 graph; the caller checks that."""
     name = "fan-elementary"
-    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     bad = check_multifan(g, phi, fan)
     if bad:
         return V.failed(name, reason="not a multifan", violations=bad)
@@ -707,59 +709,16 @@ def _first_clash(phi: PartialEdgeColoring, vs: Sequence[int]):
     return None
 
 
-def _hypothesis_gate(name, g, e=None, critical=None, class_two=None, *,
-                     budget=None, assume="critical-edge") -> Optional[V.Verdict]:
-    """None when G meets what check `name` assumes, else the UNKNOWN or
-    INAPPLICABLE verdict for the first assumption undecided or false.
-
-    `assume` names how much of "critical class 2" the check rests on, each
-    level on top of the one before: "chi" (chi' decided within `budget`),
-    "class-two", "criticality" (every edge's criticality decided),
-    "critical-edge" (edge e critical) or "critical-graph" (every edge
-    critical). `class_two` and `critical`, when the caller knows them,
-    stand in for their queries; the rest come from `solver.graph_facts`.
-    """
-    try:
-        if class_two is None or critical is None or assume != "critical-edge":
-            facts = graph_facts(g, budget)
-            if facts.verdict.status != "ok":
-                return V.unknown(name, "chromatic index undecided within budget")
-            if class_two is None:
-                class_two = facts.verdict.cls == "two"
-        if assume == "chi":
-            return None
-        if not class_two:
-            return V.inapplicable(name, "graph is class 1")
-        if assume == "criticality":
-            facts.critical_edges()
-        elif assume == "critical-edge":
-            if critical is None:
-                critical = facts.edge_critical(e)
-            if not critical:
-                return V.inapplicable(name, "uncolored edge is not critical")
-        elif assume == "critical-graph" and not facts.delta_critical():
-            return V.inapplicable(name, "graph is not edge-critical")
-    except BudgetExceeded:
-        return V.unknown(name, "criticality undecided within budget")
-    return None
-
-
 def verify_fan_linkage(
-    g: SimpleGraph,
-    phi: PartialEdgeColoring,
-    fan: Multifan,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
+    g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
 ) -> V.Verdict:
-    """Three linkage facts on a multifan with a critical uncolored edge:
-    (a) r and each spoke are linked in (gamma, delta) for gamma missing at
-    r and delta missing at the spoke; (b) spokes whose missing colors hang
-    off different roots are linked; (c) when same-root spokes are
-    unlinked, r lies on the later spoke's chain."""
+    """Three linkage facts on a multifan: (a) r and each spoke are linked
+    in (gamma, delta) for gamma missing at r and delta missing at the
+    spoke; (b) spokes whose missing colors hang off different roots are
+    linked; (c) when same-root spokes are unlinked, r lies on the later
+    spoke's chain. Assumes the uncolored edge is critical in a class-2
+    graph; the caller checks that."""
     name = "fan-linkage"
-    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     bad = check_multifan(g, phi, fan)
     if bad:
         return V.failed(name, reason="not a multifan", violations=bad)
@@ -808,20 +767,14 @@ def verify_fan_linkage(
 
 
 def verify_kp_elementary(
-    g: SimpleGraph,
-    phi: PartialEdgeColoring,
-    kp: KiersteadPath,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
+    g: SimpleGraph, phi: PartialEdgeColoring, kp: KiersteadPath
 ) -> V.Verdict:
-    """A four-vertex Kierstead path with min(d(v2), d(v3)) < Delta must be
-    elementary (critical uncolored edge, class-2 graph)."""
+    """A four-vertex Kierstead path with min(d(v2), d(v3)) < Delta is
+    elementary. Assumes the uncolored edge is critical in a class-2 graph;
+    the caller checks that."""
     name = "kierstead-elementary"
     if len(kp.vertices) != 4:
         return V.inapplicable(name, f"path has {len(kp.vertices)} vertices, need 4")
-    gate = _hypothesis_gate(name, g, kp.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     bad = check_kierstead_path(g, phi, kp)
     if bad:
         return V.failed(name, reason="not a Kierstead path", violations=bad)
@@ -873,20 +826,14 @@ def _stable_swap_cases(g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan):
 
 
 def verify_stable_swaps(
-    g: SimpleGraph,
-    phi: PartialEdgeColoring,
-    fan: Multifan,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
+    g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
 ) -> V.Verdict:
     """Swaps guaranteed to freeze a typical fan: (1,gamma) at any outside
     vertex missing 1 or gamma; (gamma,Delta) when gamma hangs off root 2
     and the chain avoids r; (2,gamma) when gamma hangs off root Delta and
-    the chain avoids r."""
+    the chain avoids r. Assumes the uncolored edge is critical in a
+    class-2 graph; the caller checks that."""
     name = "stable-swaps"
-    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     if fan.typical is None:
         return V.inapplicable(name, "fan is not typical")
     checked = 0
@@ -906,18 +853,13 @@ def verify_stable_swaps(
 
 
 def verify_vf_stable_swaps(
-    g: SimpleGraph,
-    phi: PartialEdgeColoring,
-    fan: Multifan,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
+    g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
 ) -> V.Verdict:
     """Without the r-avoidance proviso the same root-crossing swaps still
-    keep the fan vertex set stable (possibly re-spanned in another order)."""
+    keep the fan vertex set stable (possibly re-spanned in another order).
+    Assumes the uncolored edge is critical in a class-2 graph; the caller
+    checks that."""
     name = "vf-stable-swaps"
-    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     if fan.typical is None:
         return V.inapplicable(name, "fan is not typical")
     checked = 0

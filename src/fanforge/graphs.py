@@ -99,9 +99,6 @@ class SimpleGraph:
             return u
         raise ValueError(f"vertex {v} not on edge {e}")
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

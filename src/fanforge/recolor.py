@@ -30,6 +30,7 @@ from .fans import (
     FanError,
     Multifan,
     at_least_stable,
+    eligible_colors,
     fan_missing_union,
     inducing_map,
     stability_class,
@@ -254,13 +255,8 @@ def build_tau_sequence(
 def all_tau_sequences(
     g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
 ) -> list[TauSequence]:
-    k = phi.k
-    fanmiss = fan_missing_union(phi, fan)
-    return [
-        build_tau_sequence(g, phi, fan, tau)
-        for tau in range(1, k + 1)
-        if tau not in fanmiss
-    ]
+    return [build_tau_sequence(g, phi, fan, tau)
+            for tau in eligible_colors(phi, fan)]
 
 
 def shifting_kind(ts: TauSequence, phi: PartialEdgeColoring) -> Optional[str]:
@@ -303,10 +299,8 @@ def verify_rs1_linkage(
     center lies on both of s1's chains: the (tau, Delta)-chain and the
     (2, tau)-chain. CONDITIONAL unless the maximum was certified EXACT."""
     name = "rs1-linkage"
-    k = phi.k
     delta = degree_profile(g).delta
-    fanmiss = fan_missing_union(phi, fan)
-    taus = [t for t in range(1, k + 1) if t not in fanmiss]
+    taus = eligible_colors(phi, fan)
     r = fan.center
     s1 = fan.sequence[0]
     failures = []
@@ -623,10 +617,7 @@ def _eligible_shift_steps(
     g: SimpleGraph, phi: PartialEdgeColoring, fan: Multifan
 ) -> list[ShiftStep]:
     out = []
-    fanmiss = fan_missing_union(phi, fan)
-    for t in range(1, phi.k + 1):
-        if t in fanmiss:
-            continue
+    for t in eligible_colors(phi, fan):
         try:
             ts = build_tau_sequence(g, phi, fan, t)
         except TauError:
@@ -749,15 +740,16 @@ def witness_tau_item(
         raise TauError("witness construction needs a typical fan")
     delta = degree_profile(g).delta
     r = fan.center
-    fanmiss = fan_missing_union(phi, fan)
-    if set(range(1, phi.k + 1)) <= fanmiss:
+    taus = eligible_colors(phi, fan)
+    if not taus:
         return WitnessResult(
             item, "INAPPLICABLE", None, None,
             {"reason": "fan missing set covers the whole palette"},
         )
     if x == r or g.has_edge(r, x):
         raise TauError("x must lie outside the closed neighborhood of the center")
-    if tau in fanmiss:
+    # a palette color is missing on the fan exactly when it is not eligible
+    if 1 <= tau <= phi.k and tau not in taus:
         raise TauError(f"color {tau} is missing on the fan")
     if not (phi.misses(x, tau) or phi.misses(x, delta)):
         raise TauError("x misses neither tau nor Delta")

@@ -1,7 +1,12 @@
 """Pseudo-fans, theorem- and conjecture-level checkers, and the corpus scan.
 
-Every checker is hypothesis-gated: when a stated hypothesis fails the
-verdict is INAPPLICABLE, never a vacuous PASS. A FAIL always carries a
+Every verdict of a report is hypothesis-gated, by one gate,
+`_hypothesis_gate`: when a stated hypothesis fails the verdict is
+INAPPLICABLE, never a vacuous PASS, and when it is undecided within the
+budget, UNKNOWN. The graph-level checks call the gate themselves. The
+lemma suite calls it once per graph (class 2, criticality decided) and
+runs the lemma verifiers on critical edges only, so the verifiers assume
+their hypotheses and do not check them. A FAIL always carries a
 replayable witness (graph6 line, coloring line, vertices/colors involved).
 The scan treats the structural results as oracles: zero FAIL is the
 expected outcome on every corpus, and any FAIL is surfaced loudly.
@@ -21,8 +26,7 @@ from .fans import (
     MaxFanResult,
     Multifan,
     NormalizedFan,
-    _hypothesis_gate,
-    fan_missing_union,
+    eligible_colors,
     grow_kierstead_path,
     grow_multifan,
     normalize_typical,
@@ -234,16 +238,12 @@ def _pfan_violation_verdict(name, g, pfan, **detail) -> V.Verdict:
     return V.failed(name, **detail)
 
 
-def verify_pfan_properties(
-    g: SimpleGraph,
-    pfan: PFan,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
-) -> V.Verdict:
+def verify_pfan_properties(g: SimpleGraph, pfan: PFan) -> V.Verdict:
     """Extension spokes must sit on rotations whose members are linked with
     the center through color 1, and fan/extension missing-color pairs must
     ride one common chain through the center, meeting the spoke owner of
-    the fan color before the center."""
+    the fan color before the center. Assumes the uncolored edge is
+    critical in a class-2 graph; the caller checks that."""
     name = "pfan"
     phi, fan = pfan.base.phi, pfan.base.fan
     r = fan.center
@@ -251,9 +251,6 @@ def verify_pfan_properties(
     delta = prof.delta
     if prof.degrees[r] != delta or r not in light_vertices(g):
         return V.inapplicable(name, "center is not a light max-degree vertex")
-    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     if not pfan.extension:
         return V.passed(name, extension=[], note="empty extension")
     checked = {"a": 0, "b": 0}
@@ -316,14 +313,11 @@ def verify_pfan_properties(
     return V.passed(name, extension=list(pfan.extension), checked=checked)
 
 
-def verify_pfan_adjacency(
-    g: SimpleGraph,
-    pfan: PFan,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
-) -> V.Verdict:
+def verify_pfan_adjacency(g: SimpleGraph, pfan: PFan) -> V.Verdict:
     """No vertex outside the center's closed neighborhood that touches the
-    pseudo-fan may have degree Delta-1 (maximum degree >= 3)."""
+    pseudo-fan may have degree Delta-1 (maximum degree >= 3). Assumes the
+    uncolored edge is critical in a class-2 graph; the caller checks
+    that."""
     name = "pfan-adjacency"
     fan = pfan.base.fan
     r = fan.center
@@ -333,9 +327,6 @@ def verify_pfan_adjacency(
         return V.inapplicable(name, "needs maximum degree at least 3")
     if prof.degrees[r] != delta or r not in light_vertices(g):
         return V.inapplicable(name, "center is not a light max-degree vertex")
-    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     closed = set(g.adjacency[r]) | {r}
     touching = set()
     for v in pfan.vertex_set():
@@ -358,13 +349,12 @@ def verify_fan_missing_r(
     phi: PartialEdgeColoring,
     fan: Multifan,
     maximum_status: str,
-    critical: Optional[bool] = None,
-    class_two: Optional[bool] = None,
 ) -> V.Verdict:
     """At a light center of degree Delta-1 with a maximum fan, no vertex
     off the closed neighborhood sharing a neighbor with s1 beyond the
     (Delta-1)-neighborhood may hold both of the center's missing colors
-    (maximum degree >= 3)."""
+    (maximum degree >= 3). Assumes the uncolored edge is critical in a
+    class-2 graph; the caller checks that."""
     name = "fan-missing-r"
     r = fan.center
     s1 = fan.sequence[0]
@@ -374,9 +364,6 @@ def verify_fan_missing_r(
         return V.inapplicable(name, "needs maximum degree at least 3")
     if prof.degrees[r] != delta - 1 or r not in light_vertices(g):
         return V.inapplicable(name, "center is not a light (Delta-1)-vertex")
-    gate = _hypothesis_gate(name, g, fan.uncolored_edge, critical, class_two)
-    if gate is not None:
-        return gate
     closed = set(g.adjacency[r]) | {r}
     low_closed = {r} | {
         w for w in g.adjacency[r] if prof.degrees[w] == delta - 1
@@ -403,6 +390,39 @@ def verify_fan_missing_r(
     if maximum_status != "EXACT":
         return V.conditional(name, "fan maximality is only a lower bound")
     return V.passed(name, missing_r=list(phi.missing_at(r)))
+
+
+# -- the hypothesis gate -------------------------------------------------------
+
+
+def _hypothesis_gate(name, g, e=None, *, budget=None,
+                     assume="critical-edge") -> Optional[V.Verdict]:
+    """None when G meets what check `name` assumes, else the UNKNOWN or
+    INAPPLICABLE verdict for the first assumption undecided or false.
+
+    `assume` names how much of "critical class 2" the check rests on, each
+    level on top of the one before: "chi" (chi' decided within `budget`),
+    "class-two", "criticality" (every edge's criticality decided),
+    "critical-edge" (edge e critical) or "critical-graph" (every edge
+    critical). The answers come from `solver.graph_facts`, memoized on g.
+    """
+    try:
+        facts = graph_facts(g, budget)
+        if facts.verdict.status != "ok":
+            return V.unknown(name, "chromatic index undecided within budget")
+        if assume == "chi":
+            return None
+        if facts.verdict.cls != "two":
+            return V.inapplicable(name, "graph is class 1")
+        if assume == "criticality":
+            facts.critical_edges()
+        elif assume == "critical-edge" and not facts.edge_critical(e):
+            return V.inapplicable(name, "uncolored edge is not critical")
+        elif assume == "critical-graph" and not facts.delta_critical():
+            return V.inapplicable(name, "graph is not edge-critical")
+    except BudgetExceeded:
+        return V.unknown(name, "criticality undecided within budget")
+    return None
 
 
 # -- adjacency lemma and theorem-level checks -----------------------------------
@@ -460,7 +480,7 @@ def check_theorem(name: str, g: SimpleGraph, budget: Optional[int] = None) -> V.
 
     def critical(r, s):
         """None when rs is critical, else the verdict that says why not."""
-        return _hypothesis_gate(name, g, g.edge_id(r, s), class_two=True, budget=budget)
+        return _hypothesis_gate(name, g, g.edge_id(r, s), budget=budget)
 
     prof = degree_profile(g)
     delta = prof.delta
@@ -654,7 +674,7 @@ def _verdict(memo: dict, key, verify, g, inputs, *, exact: bool) -> V.Verdict:
     v = memo.get(key)
     if v is None:
         phi, obj = inputs()
-        v = verify(g, phi, obj, critical=True, class_two=True)
+        v = verify(g, phi, obj)
         if exact or v.status != V.FAIL:
             memo[key] = v
     return v
@@ -724,6 +744,11 @@ def run_lemma_suite(
 ) -> dict[str, list[V.Verdict]]:
     """Run the fan/recoloring checks over every critical edge, both
     orientations, and a deterministic sample of colorings.
+
+    The suite is the lemma checks' hypothesis gate: unless G is class 2
+    with the criticality of every edge decided, each check gets one
+    INAPPLICABLE or UNKNOWN verdict and no verifier runs, and the
+    verifiers only ever see a critical uncolored edge.
 
     Renaming the colors of phi renames every missing set, chain and root
     the fan and Kierstead checks read, so they give sigma(phi) the verdict
@@ -864,18 +889,12 @@ def run_lemma_suite(
                           f"pseudo-fan not constructible: {exc}")
                 else:
                     if "pfan" in want:
-                        out["pfan"].append(
-                            verify_pfan_properties(g, pf, critical=True, class_two=True)
-                        )
+                        out["pfan"].append(verify_pfan_properties(g, pf))
                     if "pfan-adjacency" in want:
-                        out["pfan-adjacency"].append(
-                            verify_pfan_adjacency(g, pf, critical=True, class_two=True)
-                        )
+                        out["pfan-adjacency"].append(verify_pfan_adjacency(g, pf))
             if "fan-missing-r" in want:
                 out["fan-missing-r"].append(
-                    verify_fan_missing_r(
-                        g, mphi, mfan, maxres.status, critical=True, class_two=True
-                    )
+                    verify_fan_missing_r(g, mphi, mfan, maxres.status)
                 )
     return out
 
@@ -886,8 +905,7 @@ def _check_tau_unique(g, phi, fan, status) -> V.Verdict:
     name = "tau-unique"
     if fan.typical is None:
         return V.inapplicable(name, "fan is not typical")
-    fanmiss = fan_missing_union(phi, fan)
-    taus = [t for t in range(1, phi.k + 1) if t not in fanmiss]
+    taus = eligible_colors(phi, fan)
     if not taus:
         verdict = V.passed(name, taus=[], note="no eligible colors")
         if status != "EXACT":
@@ -921,8 +939,7 @@ def _check_tau_witnesses(g, phi, fan, status) -> V.Verdict:
     if fan.typical is None:
         return V.inapplicable(name, "fan is not typical")
     delta = degree_profile(g).delta
-    fanmiss = fan_missing_union(phi, fan)
-    taus = [t for t in range(1, phi.k + 1) if t not in fanmiss]
+    taus = eligible_colors(phi, fan)
     r = fan.center
     closed = set(g.adjacency[r]) | {r}
     outcomes = {"WITNESS": 0, "EXCLUDED": 0, "UNKNOWN": 0, "INAPPLICABLE": 0}

@@ -531,13 +531,12 @@ def lemma_verdicts_reference(g, phi, r, s1):
     from fanforge import fans as F
     from fanforge import verdicts as V
 
-    hyp = {"critical": True, "class_two": True}
     fan = F.grow_multifan(g, phi, r, s1)
     kp = F.grow_kierstead_path(g, phi, r, s1, max_len=4)
     out = {
-        "fan-elementary": F.verify_fan_elementary(g, phi, fan, **hyp),
-        "fan-linkage": F.verify_fan_linkage(g, phi, fan, **hyp),
-        "kierstead": F.verify_kp_elementary(g, phi, kp, **hyp),
+        "fan-elementary": F.verify_fan_elementary(g, phi, fan),
+        "fan-linkage": F.verify_fan_linkage(g, phi, fan),
+        "kierstead": F.verify_kp_elementary(g, phi, kp),
     }
     try:
         norm = F.normalize_typical(g, phi, fan)
@@ -545,8 +544,8 @@ def lemma_verdicts_reference(g, phi, r, s1):
         for c in ("stable-swaps", "vf-stable-swaps"):
             out[c] = V.inapplicable(c, f"not normalizable: {exc}")
     else:
-        out["stable-swaps"] = F.verify_stable_swaps(g, norm.phi, norm.fan, **hyp)
-        out["vf-stable-swaps"] = F.verify_vf_stable_swaps(g, norm.phi, norm.fan, **hyp)
+        out["stable-swaps"] = F.verify_stable_swaps(g, norm.phi, norm.fan)
+        out["vf-stable-swaps"] = F.verify_vf_stable_swaps(g, norm.phi, norm.fan)
     return fan, kp, out
 
 

@@ -186,6 +186,23 @@ def test_fan_deterministic_repeat():
     assert out["typical"] is not None
 
 
+def test_fan_keeps_the_tau_sequences_that_build():
+    # E}zw, edge 5-2 at fan budget 5: the fan normalizes, and of its
+    # eligible colors tau = 3 raises while tau = 4 builds; fan reports
+    # both, as tau does
+    args = ("--edge", "5-2", "--fan-budget", "5", "E}zw")
+    out = json.loads(run_cli("fan", *args).stdout)
+    tau = json.loads(run_cli("tau", *args).stdout)
+    assert out["typical"] is not None and "note" not in out
+    assert out["typical_coloring"] == tau["coloring"]
+    assert out["tau_errors"] == [{"tau": 3, "error": "sequence member 3 misses 2 colors"}]
+    assert out["tau_errors"] == [e for e in tau["sequences"] if "error" in e]
+    assert [(d["tau"], d["type"], d["shifting"]) for d in out["tau_sequences"]] == [(4, "B", "B")]
+    assert out["tau_sequences"] == [
+        dict(e["sequence"], shifting=e["shifting"]) for e in tau["sequences"] if "sequence" in e
+    ]
+
+
 def test_tau_command():
     r = run_cli("tau", "--edge", "0-4", PM)
     assert r.returncode == 0

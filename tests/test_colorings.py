@@ -19,15 +19,10 @@ from fanforge.colorings import (
     PartialEdgeColoring,
     StaleChainError,
     are_linked,
-    chain_at,
-    is_elementary,
     kempe_bfs,
     kempe_swap,
     kempe_swap_at,
-    missing,
-    present,
     swap_moves,
-    validate,
 )
 from fanforge.fans import grow_multifan, stability_class
 from fanforge.graphs import SimpleGraph, complete, cycle, degree_profile, from_graph6, path
@@ -39,7 +34,7 @@ CLASS2_N7 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "cla
 def test_validate_proper_path():
     g = path(3)
     phi = PartialEdgeColoring.from_assignment(g, 2, [1, 2])
-    assert validate(phi)
+    assert phi.validate()
 
 
 def test_adjacent_same_color_rejected():
@@ -56,9 +51,8 @@ def test_solver_witness_validates():
 def test_missing_present_partition():
     g = SimpleGraph(4, [(0, 1)])
     phi = PartialEdgeColoring.from_assignment(g, 3, [2])
-    assert missing(phi, 2) == (1, 2, 3)  # isolated vertex misses everything
-    assert present(phi, 0) == (2,)
-    assert missing(phi, 0) == (1, 3)
+    assert phi.missing_at(2) == (1, 2, 3)  # isolated vertex misses everything
+    assert phi.missing_at(0) == (1, 3)
 
 
 def test_degree_k_vertex_misses_nothing():
@@ -66,40 +60,40 @@ def test_degree_k_vertex_misses_nothing():
     cv = chromatic_index(g)
     phi = cv.witness
     for v in range(4):
-        assert missing(phi, v) == ()
+        assert phi.missing_at(v) == ()
 
 
 def test_c5_fixture_missing_sets(c5_fixture):
     g, phi = c5_fixture
-    assert missing(phi, 0) == (1,)
-    assert missing(phi, 1) == (2,)
-    assert is_elementary(phi, [0, 1])
+    assert phi.missing_at(0) == (1,)
+    assert phi.missing_at(1) == (2,)
+    assert phi.is_elementary([0, 1])
 
 
 def test_elementary_cases(c5_fixture):
     g, phi = c5_fixture
-    assert is_elementary(phi, [0])
+    assert phi.is_elementary([0])
     # a vertex listed twice clashes with itself unless it misses nothing
     h = SimpleGraph(3, [(0, 1)])
     psi = PartialEdgeColoring.from_assignment(h, 1, [1])
-    assert not is_elementary(psi, [2, 2])
-    assert is_elementary(psi, [0, 0])
+    assert not psi.is_elementary([2, 2])
+    assert psi.is_elementary([0, 0])
     # two isolated vertices share every missing color
     h2 = SimpleGraph(4, [(0, 1)])
     psi2 = PartialEdgeColoring.from_assignment(h2, 1, [1])
-    assert not is_elementary(psi2, [2, 3])
+    assert not psi2.is_elementary([2, 3])
 
 
 def test_chain_trivial_when_both_missing():
     g = SimpleGraph(3, [(0, 1)])
     phi = PartialEdgeColoring.from_assignment(g, 2, [1])
-    ch = chain_at(phi, 2, 1, 2)
+    ch = phi.chain_at(2, 1, 2)
     assert ch.kind == "path" and ch.vertices == (2,) and ch.edges == ()
 
 
 def test_chain_cycle_c4():
     phi = PartialEdgeColoring.from_assignment(cycle(4), 2, [1, 2, 2, 1])
-    ch = chain_at(phi, 0, 1, 2)
+    ch = phi.chain_at(0, 1, 2)
     assert ch.kind == "cycle"
     assert len(ch.edges) == 4
     # swap on a cycle chain changes no missing sets
@@ -110,14 +104,14 @@ def test_chain_cycle_c4():
 
 def test_chain_path_endpoints(c5_fixture):
     g, phi = c5_fixture
-    ch = chain_at(phi, 1, 1, 2)
+    ch = phi.chain_at(1, 1, 2)
     assert ch.kind == "path"
     assert set(ch.endpoints()) == {0, 1}
 
 
 def test_swap_involution(c5_fixture):
     g, phi = c5_fixture
-    ch = chain_at(phi, 2, 1, 2)
+    ch = phi.chain_at(2, 1, 2)
     back = kempe_swap(kempe_swap(phi, ch), ch)
     assert back.signature() == phi.signature()
 
@@ -133,7 +127,7 @@ def test_edge_with_color_rejects_colors_outside_the_palette():
 def test_single_edge_swap():
     g = SimpleGraph(2, [(0, 1)])
     phi = PartialEdgeColoring.from_assignment(g, 2, [1])
-    ch = chain_at(phi, 0, 1, 2)
+    ch = phi.chain_at(0, 1, 2)
     phi2 = kempe_swap(phi, ch)
     assert phi2.color_of(0) == 2
 
@@ -142,7 +136,7 @@ def test_stale_chain_rejected(c5_fixture):
     g, phi = c5_fixture
     # recolor one chain edge with a third color: the extracted chain is stale
     wide = PartialEdgeColoring.from_assignment(g, 3, list(phi.assignment))
-    ch = chain_at(wide, 2, 1, 2)
+    ch = wide.chain_at(2, 1, 2)
     other = PartialEdgeColoring.from_assignment(g, 3, [None, 2, 1, 3, 1])
     with pytest.raises(StaleChainError):
         kempe_swap(other, ch)

@@ -87,23 +87,14 @@ def test_fan_prefixes_are_fans(c5_fixture):
 def test_verify_fan_elementary_c5(c5_fixture):
     g, phi = c5_fixture
     fan = grow_multifan(g, phi, 0, 1)
-    v = verify_fan_elementary(g, phi, fan, critical=True, class_two=True)
+    v = verify_fan_elementary(g, phi, fan)
     assert v.status == "PASS"
-
-
-def test_verify_gates_on_hypotheses(c5_fixture):
-    g, phi = c5_fixture
-    fan = grow_multifan(g, phi, 0, 1)
-    v = verify_fan_elementary(g, phi, fan, critical=False, class_two=True)
-    assert v.status == "INAPPLICABLE"
-    v = verify_fan_linkage(g, phi, fan, critical=True, class_two=False)
-    assert v.status == "INAPPLICABLE"
 
 
 def test_verify_fan_linkage_c5(c5_fixture):
     g, phi = c5_fixture
     fan = grow_multifan(g, phi, 0, 1)
-    v = verify_fan_linkage(g, phi, fan, critical=True, class_two=True)
+    v = verify_fan_linkage(g, phi, fan)
     assert v.status == "PASS"
     assert v.detail["checked"]["a"] >= 1
 
@@ -113,8 +104,8 @@ def test_fan_lemmas_across_k5e_colorings():
     e = g.edge_id(2, 0)
     for phi in colorings_of(ColoringSpace(g, e, 4)):
         fan = grow_multifan(g, phi, 2, 0)
-        assert verify_fan_elementary(g, phi, fan, critical=True, class_two=True).ok
-        assert verify_fan_linkage(g, phi, fan, critical=True, class_two=True).ok
+        assert verify_fan_elementary(g, phi, fan).ok
+        assert verify_fan_linkage(g, phi, fan).ok
 
 
 def test_normalize_typical_k5e():
@@ -296,7 +287,7 @@ def test_kierstead_growth_c5(c5_fixture):
     kp = grow_kierstead_path(g, phi, 0, 1, max_len=4)
     assert kp.vertices == (0, 1, 2, 3)
     assert check_kierstead_path(g, phi, kp) == []
-    v = verify_kp_elementary(g, phi, kp, critical=True, class_two=True)
+    v = verify_kp_elementary(g, phi, kp)
     # both middle vertices have maximum degree two
     assert v.status == "INAPPLICABLE"
 
@@ -327,7 +318,7 @@ def test_kierstead_middle_degree_gate_regression():
     assert not phi.is_elementary(kp.vertices)
     degs = [g.degree(v) for v in kp.vertices]
     assert degs[1] == degs[2] == 3 and degs[3] == 2
-    v = verify_kp_elementary(g, phi, kp, critical=True, class_two=True)
+    v = verify_kp_elementary(g, phi, kp)
     assert v.status == "INAPPLICABLE"
 
 
@@ -341,9 +332,7 @@ def test_kierstead_pass_when_gate_holds():
                 kp = grow_kierstead_path(g, phi, r, s1, max_len=4)
                 if len(kp.vertices) != 4:
                     continue
-                res = verify_kp_elementary(
-                    g, phi, kp, critical=True, class_two=True
-                )
+                res = verify_kp_elementary(g, phi, kp)
                 assert res.status in ("PASS", "INAPPLICABLE")
                 seen_pass |= res.status == "PASS"
     assert seen_pass
@@ -359,7 +348,7 @@ def test_malformed_kierstead_path_is_not_a_kierstead_path(vertices, violation):
     phi = ColoringSpace(g, 0, degree_profile(g).delta).normal()[0]
     kp = KiersteadPath(vertices, 0)
     assert violation in check_kierstead_path(g, phi, kp)
-    v = verify_kp_elementary(g, phi, kp, critical=True, class_two=True)
+    v = verify_kp_elementary(g, phi, kp)
     assert v.status == "FAIL"
     assert v.detail["reason"] == "not a Kierstead path"
 
@@ -370,9 +359,5 @@ def test_stable_swap_verifiers_on_k5e():
     for phi in colorings_of(ColoringSpace(g, e, 4), 12):
         fan = grow_multifan(g, phi, 2, 0)
         nf = normalize_typical(g, phi, fan)
-        assert verify_stable_swaps(
-            g, nf.phi, nf.fan, critical=True, class_two=True
-        ).ok
-        assert verify_vf_stable_swaps(
-            g, nf.phi, nf.fan, critical=True, class_two=True
-        ).ok
+        assert verify_stable_swaps(g, nf.phi, nf.fan).ok
+        assert verify_vf_stable_swaps(g, nf.phi, nf.fan).ok

@@ -38,6 +38,10 @@ def test_fan_schema():
     jsonschema.validate(out, schema)
     out2 = json.loads(run_cli("fan", "--edge", "0-4", PM).stdout)
     jsonschema.validate(out2, schema)
+    # a tau-sequence that raises is listed under tau_errors
+    out3 = json.loads(run_cli("fan", "--edge", "5-2", "--fan-budget", "5", "E}zw").stdout)
+    assert out3["tau_errors"]
+    jsonschema.validate(out3, schema)
 
 
 def test_tau_schema():

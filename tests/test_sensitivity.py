@@ -1,18 +1,19 @@
 """The per-coloring lemma verifiers can FAIL.
 
 The lemmas assume that the uncolored edge is critical in a class-2
-graph. On a class-1 graph the gate answers INAPPLICABLE. With the gate
-bypassed (`critical=True, class_two=True`) the verifiers meet colorings
-that the lemmas say nothing about, and there they FAIL. So a verifier
-that always passes would show here.
+graph. The lemma suite checks that once per graph, and on a class-1
+graph it answers INAPPLICABLE for every lemma check. The verifier alone
+assumes the hypothesis, so it meets colorings that the lemmas say
+nothing about, and there it FAILs. So a verifier that always passes
+would show here.
 
 Each case pins one class-1 input per verifier, and `fan-linkage` has
 one for part (b) and one for part (c): a graph6 line, the uncolored
 edge, the orientation (r, s1) and a normal coloring of G - e.
 The swap verifiers run on the normalized fan, as the lemma suite runs
-them. `tau-witnesses` has no gate of its own: the lemma suite gates it
-and runs it on the normalized maximum fan, so its input coloring is the
-one the exhaustive maximum-fan search picks. A digest pins the verdicts
+them. `tau-witnesses` runs on the normalized maximum fan, as the lemma
+suite runs it, so its input coloring is the one the exhaustive
+maximum-fan search picks. A digest pins the verdicts
 of the five per-coloring verifiers over the small coloring spaces of the
 fixture graphs.
 """
@@ -55,8 +56,6 @@ from fanforge.graphs import degree_profile, from_graph6
 from fanforge.recolor import _REQUIRED_STABILITY, _post_pairs
 from fanforge.solver import ColoringSpace
 from fanforge.theorems import ScanConfig, _check_tau_witnesses, run_lemma_suite
-
-BYPASS = {"critical": True, "class_two": True}
 
 # check -> (graph6, edge, r, s1, normal coloring of G - e, FAIL detail)
 CASES = {
@@ -103,26 +102,24 @@ CASES = {
 }
 
 
-def _verify(check, g, phi, r, s1, hyp):
+def _verify(check, g, phi, r, s1):
+    """The verifier of `check` alone on phi at (r, s1)."""
     fan = grow_multifan(g, phi, r, s1)
     if check == "tau-witnesses":
-        if not hyp:  # the lemma suite's gate
-            (verdict,) = run_lemma_suite(g, ScanConfig(), [check])[check]
-            return verdict
         # phi carries a maximum fan (test_tau_witness_input_is_the_maximum_fan)
         nf = normalize_typical(g, phi, fan)
         return _check_tau_witnesses(g, nf.phi, nf.fan, "EXACT")
     if check == "fan-elementary":
-        return verify_fan_elementary(g, phi, fan, **hyp)
+        return verify_fan_elementary(g, phi, fan)
     if check.startswith("fan-linkage"):
-        return verify_fan_linkage(g, phi, fan, **hyp)
+        return verify_fan_linkage(g, phi, fan)
     if check == "kierstead":
         kp = grow_kierstead_path(g, phi, r, s1, max_len=4)
-        return verify_kp_elementary(g, phi, kp, **hyp)
+        return verify_kp_elementary(g, phi, kp)
     nf = normalize_typical(g, phi, fan)
     verify = {"stable-swaps": verify_stable_swaps,
               "vf-stable-swaps": verify_vf_stable_swaps}[check]
-    return verify(g, nf.phi, nf.fan, **hyp)
+    return verify(g, nf.phi, nf.fan)
 
 
 def _case(check):
@@ -135,15 +132,16 @@ def _case(check):
 
 @pytest.mark.parametrize("check", sorted(CASES))
 def test_gated_verdict_is_inapplicable_on_a_class_one_graph(check):
-    g, phi, r, s1, _ = _case(check)
-    v = _verify(check, g, phi, r, s1, {})
+    g = _case(check)[0]
+    name = "fan-linkage" if check == "fan-linkage-c" else check
+    (v,) = run_lemma_suite(g, ScanConfig(), [name])[name]
     assert (v.status, v.detail) == ("INAPPLICABLE", {"reason": "graph is class 1"})
 
 
 @pytest.mark.parametrize("check", sorted(CASES))
 def test_bypassed_gate_fails_with_the_recorded_detail(check):
     g, phi, r, s1, detail = _case(check)
-    v = _verify(check, g, phi, r, s1, BYPASS)
+    v = _verify(check, g, phi, r, s1)
     assert v.status == "FAIL"
     assert v.detail == detail
 
@@ -205,7 +203,8 @@ def test_tau_witness_input_is_the_maximum_fan():
 @functools.lru_cache(maxsize=None)
 def _fixture_runs():
     """Every normal coloring of every G - e with at most 400 colorings
-    (orbit sum) over the fixture graphs, both orientations, gate bypassed:
+    (orbit sum) over the fixture graphs, both orientations, each verifier
+    alone:
     the digest of the five verdicts, the inducing map of the normalized
     fan or the normalization error, the FAIL counts, and the normalized
     colorings and fans."""
@@ -227,9 +226,9 @@ def _fixture_runs():
                     fan = grow_multifan(g, phi, r, s1)
                     kp = grow_kierstead_path(g, phi, r, s1, max_len=4)
                     verdicts = [
-                        verify_fan_elementary(g, phi, fan, **BYPASS),
-                        verify_fan_linkage(g, phi, fan, **BYPASS),
-                        verify_kp_elementary(g, phi, kp, **BYPASS),
+                        verify_fan_elementary(g, phi, fan),
+                        verify_fan_linkage(g, phi, fan),
+                        verify_kp_elementary(g, phi, kp),
                     ]
                     try:
                         nf = normalize_typical(g, phi, fan)
@@ -239,8 +238,8 @@ def _fixture_runs():
                         normalized.append((nf.phi, nf.fan))
                         record = [inducing_map(g, nf.phi, nf.fan).to_json()]
                         verdicts += [
-                            verify_stable_swaps(g, nf.phi, nf.fan, **BYPASS),
-                            verify_vf_stable_swaps(g, nf.phi, nf.fan, **BYPASS),
+                            verify_stable_swaps(g, nf.phi, nf.fan),
+                            verify_vf_stable_swaps(g, nf.phi, nf.fan),
                         ]
                     for vd in verdicts:
                         record.append(vd.to_json())

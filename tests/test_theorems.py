@@ -107,9 +107,9 @@ def test_grow_pfan_empty_extension():
     pf = grow_pfan(PM, base, budget=30)
     assert pf.base.status == "EXACT"
     assert pf.p2_status == "VERIFIED-WITHIN-BUDGET"
-    v = verify_pfan_properties(PM, pf, critical=True, class_two=True)
+    v = verify_pfan_properties(PM, pf)
     assert v.status == "PASS"
-    v2 = verify_pfan_adjacency(PM, pf, critical=True, class_two=True)
+    v2 = verify_pfan_adjacency(PM, pf)
     assert v2.status == "PASS"
 
 
@@ -434,10 +434,10 @@ def test_pfan_extension_accepts_on_scan_instance():
     assert set(pf.extension) == {1, 3}
     assert pf.pruned == []
     assert pf.p2_status == "VERIFIED-WITHIN-BUDGET"
-    v = verify_pfan_properties(g, pf, critical=True, class_two=True)
+    v = verify_pfan_properties(g, pf)
     assert v.status in ("PASS", "FAIL", "INAPPLICABLE")
     assert v.status != "FAIL"
-    v2 = verify_pfan_adjacency(g, pf, critical=True, class_two=True)
+    v2 = verify_pfan_adjacency(g, pf)
     assert v2.status != "FAIL"
 
 
@@ -455,7 +455,7 @@ def test_fail_plumbing_carries_violations():
         edge_colors={},
         missing={},
     )
-    v = verify_fan_elementary(g, phi, bogus, critical=True, class_two=True)
+    v = verify_fan_elementary(g, phi, bogus)
     assert v.status == "FAIL"
     assert v.detail["violations"]
 
@@ -500,7 +500,7 @@ def test_pfan_violation_downgrades_without_certified_maximum():
     g = from_graph6("F}qzw")
     pf = grow_pfan(g, _typical_max_fan(g, 0, 2, "reachability", 200), budget=200)
     assert pf.base.status == "LOWER-BOUND"
-    res = verify_pfan_properties(g, pf, critical=True, class_two=True)
+    res = verify_pfan_properties(g, pf)
     assert res.status in ("PASS", "CONDITIONAL")
 
 
@@ -964,12 +964,12 @@ def test_lemma_suite_never_copies_a_fail(monkeypatch, whole_orbit):
     real = theorems.verify_fan_elementary
     calls = Counter()
 
-    def flaky(g, phi, fan, **kwargs):
+    def flaky(g, phi, fan):
         if fan.center == r and phi.uncolored == e:
             calls[phi.to_line()] += 1
             if phi.to_line() in failing:
                 return V.failed("fan-elementary", coloring=phi.to_line())
-        return real(g, phi, fan, **kwargs)
+        return real(g, phi, fan)
 
     monkeypatch.setattr(theorems, "verify_fan_elementary", flaky)
     out = run_lemma_suite(PM, ScanConfig(checks=("fan-elementary",)), ("fan-elementary",))
@@ -1058,9 +1058,9 @@ def test_lemma_suite_keys_fan_verdicts_by_the_fan_sequence(monkeypatch):
         return fan
 
     def recording(verify):
-        def run(g, phi, fan, **kwargs):
+        def run(g, phi, fan):
             verified.add((verify.__name__,) + key(phi, fan))
-            return verify(g, phi, fan, **kwargs)
+            return verify(g, phi, fan)
         return run
 
     monkeypatch.setattr(theorems, "grow_multifan", grow)
@@ -1088,6 +1088,43 @@ def test_lemma_suite_equals_the_unmemoized_loop_under_relabelings():
             assert set(ref) == set(PER_COLORING)
             for name in PER_COLORING:
                 assert [v.to_json() for v in out[name]] == ref[name], (line, seed, name)
+
+
+SUITE_VERIFIERS = (
+    "verify_fan_elementary", "verify_fan_linkage", "verify_kp_elementary",
+    "verify_stable_swaps", "verify_vf_stable_swaps", "verify_pfan_properties",
+    "verify_pfan_adjacency", "verify_fan_missing_r",
+)
+
+
+def test_the_lemma_suite_is_the_gate(monkeypatch):
+    # the verifiers assume a critical uncolored edge of a class-2 graph and
+    # do not check it: the suite runs them on critical edges only, and on
+    # a class-1 graph not at all
+    seen = []
+    for name in SUITE_VERIFIERS:
+        real = getattr(theorems, name)
+
+        def recording(g, first, *rest, _real=real):
+            # (g, phi, fan or path, ...) or (g, pseudo-fan)
+            obj = first.base.fan if isinstance(first, theorems.PFan) else rest[0]
+            seen.append(obj.uncolored_edge)
+            return _real(g, first, *rest)
+
+        monkeypatch.setattr(theorems, name, recording)
+    graphs = [from_graph6(line) for line in CLASS2_N7.read_text().split()]
+    partial = [g for g in graphs if 0 < len(solver.critical_edges(g)) < g.m()]
+    assert partial
+    for g in partial:
+        seen.clear()
+        run_lemma_suite(g, ScanConfig(checks=LEMMA_CHECKS), LEMMA_CHECKS)
+        assert seen and set(seen) <= set(solver.critical_edges(g))
+    seen.clear()
+    out = run_lemma_suite(from_graph6("Cl"), ScanConfig(checks=LEMMA_CHECKS), LEMMA_CHECKS)
+    assert not seen
+    assert {c: [(v.status, v.detail) for v in vs] for c, vs in out.items()} == dict.fromkeys(
+        LEMMA_CHECKS, [("INAPPLICABLE", {"reason": "graph is class 1"})]
+    )
 
 
 def test_verdicts_are_frozen():
